@@ -8,7 +8,7 @@
 //!
 //! Both files hold the shared JSONL bench format (one
 //! `{"name":…,"wall_ms":…}` object per line) emitted by the `experiments`
-//! harness and the criterion shim behind `GROM_BENCH_JSON`. The gate fails
+//! harness behind `GROM_BENCH_JSON`. The gate fails
 //! (exit code 1) when any workload present in the baseline
 //!
 //! * is missing from the candidate, or
@@ -41,50 +41,16 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
+use grom::trace::json;
 use grom_bench::CALIBRATION_RECORD;
 
 /// Parse one JSONL bench line into `(name, wall_ms)`. Tolerates unknown
 /// extra fields; returns `None` for blank/malformed lines.
 fn parse_line(line: &str) -> Option<(String, f64)> {
-    let line = line.trim();
-    if line.is_empty() {
-        return None;
-    }
-    let name = extract_string(line, "name")?;
-    let wall_ms = extract_number(line, "wall_ms")?;
+    let record = json::parse(line.trim()).ok()?;
+    let name = record.get("name")?.as_str()?.to_string();
+    let wall_ms = record.get("wall_ms")?.as_f64()?;
     Some((name, wall_ms))
-}
-
-/// Extract the string value of `"key":"…"`, honoring `\"` and `\\` escapes.
-fn extract_string(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let mut out = String::new();
-    let mut escaped = false;
-    for c in line[start..].chars() {
-        if escaped {
-            out.push(c);
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            return Some(out);
-        } else {
-            out.push(c);
-        }
-    }
-    None
-}
-
-/// Extract the numeric value of `"key":123.45`.
-fn extract_number(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Read a JSONL bench file into name → wall_ms. Repeated names keep the
@@ -318,7 +284,7 @@ mod tests {
                 .unwrap();
         assert_eq!(name, "e7d/delta/width=500");
         assert!((ms - 12.3456).abs() < 1e-9);
-        // Criterion-shim lines carry iters instead of tuples.
+        // Unknown fields are ignored.
         let (name, ms) =
             parse_line(r#"{"name":"e7_chase_scalability/1000","wall_ms":3.5,"iters":20}"#).unwrap();
         assert_eq!(name, "e7_chase_scalability/1000");

@@ -6,8 +6,7 @@
 //! and EXPERIMENTS.md.
 //!
 //! All generators are seeded and pure: the same parameters produce the same
-//! scenario and instance, so criterion runs and the experiments binary are
-//! reproducible.
+//! scenario and instance, so the experiments binary is reproducible.
 
 pub mod calibration;
 pub mod report;

@@ -3,10 +3,8 @@
 //!
 //! Every quantitative row the `experiments` binary prints can also be
 //! [`record`]ed as a [`BenchRecord`]; when the `GROM_BENCH_JSON` env var
-//! names a file, [`flush_jsonl_env`] appends one JSON line per record. The
-//! vendored criterion shim emits the *same* line format behind the same
-//! env var, so criterion benches, the experiments harness and the CI
-//! regression gate (`bench_gate`) all speak one format:
+//! names a file, [`flush_jsonl_env`] appends one JSON line per record, the
+//! format the CI regression gate (`bench_gate`) reads:
 //!
 //! ```text
 //! {"name":"e7d/delta/width=5000","wall_ms":12.345,"tuples":85000}

@@ -21,9 +21,9 @@ use grom_data::{read_instance, write_instance, Instance, NullId, Tuple, Value};
 use grom_lang::Dependency;
 use grom_trace::json::{self, JsonValue};
 
-use crate::config::{ChaseConfig, SchedulerMode};
+use crate::config::ChaseConfig;
 use crate::nullmap::NullMap;
-use crate::result::{ChaseError, ChaseOutcome, ChaseResult};
+use crate::result::{ChaseError, ChaseOutcome};
 use crate::scheduler::Pending;
 
 /// The relation name carrying the flattened null map in serialized form:
@@ -290,7 +290,7 @@ impl Checkpoint {
 }
 
 /// Loop state rebuilt from a checkpoint (or built fresh at chase entry);
-/// the shared currency of the three scheduler loops.
+/// what the sweep driver starts from in every mode.
 pub(crate) struct ResumeState {
     pub inst: Instance,
     pub rounds: usize,
@@ -374,14 +374,7 @@ pub fn chase_resume(
 ) -> Result<ChaseOutcome, ChaseError> {
     let mut state = checkpoint.restore(deps)?;
     crate::trigger::register_join_keys(&mut state.inst, deps);
-    let run: Result<ChaseResult, ChaseError> = match config.scheduler {
-        SchedulerMode::Delta => crate::scheduler::chase_delta_resume(state, deps, config),
-        SchedulerMode::FullRescan => crate::standard::chase_full_rescan_resume(state, deps, config),
-        SchedulerMode::Parallel { threads } => {
-            crate::parallel::chase_parallel_resume(state, deps, config, threads)
-        }
-    };
-    ChaseOutcome::from_run(run)
+    ChaseOutcome::from_run(crate::scheduler::run(state, deps, config, config.scheduler))
 }
 
 #[cfg(test)]

@@ -20,14 +20,15 @@ pub enum SchedulerMode {
     /// the reference implementation and for A/B benchmarking.
     FullRescan,
     /// Delta scheduling with sweeps executed by the parallel chase
-    /// executor: the scheduler worklist is partitioned into conflict-free
-    /// dependency groups (see [`crate::partition`]; egds are ordinary
-    /// group members) and each group's activations run on a worker pool
-    /// against an immutable snapshot of the instance. Per-worker insertion
-    /// buffers are merged deterministically at the sweep barrier; equality
-    /// obligations collected by the workers are unified there in
-    /// declaration order and applied as one combined substitution pass per
-    /// merge-bearing sweep. Results are identical to
+    /// executor: the dependencies are partitioned into conflict groups (see
+    /// [`crate::partition`]; egds are ordinary group members), so that each
+    /// relation has one writer group holding all its readers, and each
+    /// group's activations run on a worker pool against its ownership view
+    /// of the instance — `&mut` of the relations it writes, `&` of the
+    /// relations nobody writes. Jobs insert straight into the instance;
+    /// the equality obligations they collect are unified at the sweep
+    /// barrier in declaration order and applied as one combined
+    /// substitution pass per merge-bearing sweep. Results are identical to
     /// [`SchedulerMode::Delta`] up to the renaming of labeled nulls.
     Parallel {
         /// Worker-pool width; `0` and `1` both mean one worker.
@@ -37,8 +38,8 @@ pub enum SchedulerMode {
 
 impl SchedulerMode {
     /// The mode for a requested thread count: [`SchedulerMode::Delta`] for
-    /// zero or one thread (the sequential loop has no sweep-barrier
-    /// overhead), [`SchedulerMode::Parallel`] otherwise.
+    /// zero or one thread (the calling-thread job has no pool overhead),
+    /// [`SchedulerMode::Parallel`] otherwise.
     pub fn with_threads(threads: usize) -> Self {
         if threads >= 2 {
             SchedulerMode::Parallel { threads }

@@ -30,7 +30,7 @@ use grom_engine::{disjunct_satisfied, evaluate_body_streaming, Control};
 use crate::config::ChaseConfig;
 use crate::nullmap::NullMap;
 use crate::result::{ChaseError, ChaseOutcome, ChaseResult, ChaseStats};
-use crate::standard::{apply_disjunct, chase_standard, check_executable};
+use crate::standard::{apply_disjunct, chase_standard, check_executable, Nulls};
 
 /// Anchor the campaign budget once, so every scenario / node closure the
 /// campaign delegates to [`chase_standard`] shares one wall-clock deadline
@@ -357,16 +357,20 @@ pub fn chase_exhaustive(
                     let mut nullgen =
                         NullGenerator::starting_at(child.max_null_label().map_or(0, |l| l + 1));
                     let mut nullmap = NullMap::new();
-                    match apply_disjunct(
+                    let mut nulls = Nulls::owned(&mut nullmap);
+                    let applied = apply_disjunct(
                         &mut child,
+                        k,
                         dep,
                         i,
                         &bindings,
-                        &mut nullmap,
-                        &mut nullgen,
+                        &mut nulls,
+                        &mut || nullgen.fresh(),
                         &mut stats,
-                    ) {
-                        Ok(merged) => {
+                    );
+                    let merged = nulls.take_merged();
+                    match applied {
+                        Ok(()) => {
                             if merged {
                                 child.substitute_nulls(|id| nullmap.lookup(id));
                                 stats.substitution_passes += 1;

@@ -21,18 +21,19 @@
 //!   sufficient condition for chase termination; non-weakly-acyclic
 //!   programs run under the round budget of [`ChaseConfig`].
 //! * [`trigger`] / [`scheduler`] — the delta-driven (semi-naive) scheduler
-//!   that all chase variants run on by default: a static trigger index
-//!   routes newly inserted tuples to the dependencies whose premises read
-//!   them, and premise evaluation is seeded from those deltas instead of
-//!   rescanning the whole instance every round (see
-//!   [`config::SchedulerMode`]).
+//!   and the one sweep driver all chase variants run on: a static trigger
+//!   index routes newly inserted tuples to the dependencies whose premises
+//!   read them, and premise evaluation is seeded from those deltas instead
+//!   of rescanning the whole instance every round (see
+//!   [`config::SchedulerMode`]). The same driver runs the full-rescan
+//!   reference round.
 //! * [`partition`] / [`parallel`] — the parallel chase executor: the
-//!   scheduler worklist is partitioned into conflict-free dependency
-//!   groups (egds included — they are pure readers within a sweep) and
-//!   each sweep's activations run on the worker pool of `grom-exec`
-//!   against immutable instance snapshots. Per-worker insertion buffers
-//!   are merged deterministically at the sweep barrier, where the workers'
-//!   equality-obligation buffers are also unified — in declaration order —
+//!   dependencies are partitioned into conflict groups, so that every
+//!   relation has one writer group holding all its readers, and each
+//!   sweep's groups run as jobs on the worker pool of `grom-exec`, each
+//!   against its ownership view of the instance: `&mut` of the relations it
+//!   writes, `&` of the relations nobody writes. The jobs' equality
+//!   obligations are unified at the sweep barrier — in declaration order —
 //!   and resolved with one combined substitution pass per merge-bearing
 //!   sweep ([`config::SchedulerMode::Parallel`]).
 

@@ -11,10 +11,12 @@
 //!
 //! Mappings may chain (`N3 → N1`, then `N1 → 7`); [`NullMap::resolve`]
 //! follows chains with path compression.
+//!
+//! The map hashes with the deterministic `FxHasher`, so two maps built by
+//! the same unifications iterate — and [`NullMap::flatten`] — in the same
+//! order, run after run.
 
-use std::collections::HashMap;
-
-use grom_data::{NullId, Value};
+use grom_data::{FxHashMap, NullId, Value};
 
 /// Outcome of enforcing one equality.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,7 +32,7 @@ pub enum Unify {
 /// A substitution from null labels to values, with chain resolution.
 #[derive(Debug, Clone, Default)]
 pub struct NullMap {
-    map: HashMap<NullId, Value>,
+    map: FxHashMap<NullId, Value>,
 }
 
 impl NullMap {
@@ -48,9 +50,9 @@ impl NullMap {
 
     /// Resolve a value through the map without mutating it (follows chains,
     /// no path compression). This is the read-only view the parallel chase
-    /// executor hands to its workers: they resolve bindings against a
-    /// frozen snapshot of the sweep-start map while *collecting* new
-    /// equality obligations instead of unifying in place.
+    /// executor hands to its pool jobs: they resolve bindings against the
+    /// sweep-start map while *collecting* new equality obligations instead
+    /// of unifying in place.
     pub fn resolve_frozen(&self, value: &Value) -> Value {
         let mut current = value.clone();
         while let Some(id) = current.as_null() {
@@ -120,7 +122,7 @@ impl NullMap {
     /// sent directly to its final value, chains collapsed once. This is the
     /// input of [`grom_data::Instance::substitute_nulls_batch`] — the
     /// one-pass sweep-level substitution of egd batching.
-    pub fn flatten(&mut self) -> HashMap<NullId, Value> {
+    pub fn flatten(&mut self) -> FxHashMap<NullId, Value> {
         let keys: Vec<NullId> = self.map.keys().copied().collect();
         keys.into_iter()
             .map(|id| {
@@ -226,6 +228,24 @@ mod tests {
         for id in [5u64, 3, 1] {
             assert_eq!(flat[&NullId(id)], Value::int(7));
         }
+    }
+
+    #[test]
+    fn flatten_order_is_a_function_of_the_unify_sequence() {
+        let build = || {
+            let mut m = NullMap::new();
+            for i in 0..64u64 {
+                m.unify(&Value::null(i * 7 + 100), &Value::null(i));
+                if i % 3 == 0 {
+                    m.unify(&Value::null(i), &Value::int(i as i64));
+                }
+            }
+            m
+        };
+        let a: Vec<(NullId, Value)> = build().flatten().into_iter().collect();
+        let b: Vec<(NullId, Value)> = build().flatten().into_iter().collect();
+        assert_eq!(a.len(), 86);
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -1,26 +1,22 @@
-//! Conflict-free dependency partitioning for the parallel chase executor.
+//! Conflict-group partitioning: who owns which relation during a sweep.
 //!
 //! Two dependencies **conflict** when one's conclusion relations intersect
-//! the other's premise or conclusion relations: running them concurrently
-//! could hide a premise match (writer vs reader) or interleave writes into
-//! the same relation (writer vs writer). The [`Partition`] groups
-//! dependencies into the connected components of the conflict relation —
-//! within a group execution must stay in declaration order, across groups
-//! there is no interaction at all, so each group can run on its own worker
-//! against a shared snapshot.
+//! the other's premise or conclusion relations. The [`Partition`] groups
+//! dependencies into the connected components of the conflict relation,
+//! so **every relation has at most one writer group, and every reader of a
+//! written relation is in that writer's group.** Within a group execution
+//! stays in declaration order; across groups there is no interaction at
+//! all. A sweep therefore hands each group's job the `&mut` of the
+//! relations it writes and shares `&` of the relations nobody writes
+//! ([`grom_exec::OwnedView`]), and a job routes new tuples only to its own
+//! group. [`Partition::single`] — one group owning everything — is the
+//! partition of [`SchedulerMode::Delta`](crate::SchedulerMode::Delta).
 //!
-//! Dependencies whose conclusion contains an *equality* (egds and mixed
-//! tgd+egds) participate like every other dependency. Their equality
-//! repairs do **not** write the instance from a worker: workers only
-//! *collect* obligations against a read-only snapshot of the
-//! [`NullMap`](crate::nullmap::NullMap), and the coordinator performs the
-//! one unbounded write — the combined null substitution — at the sweep
-//! barrier, after every worker has finished. Within a sweep an egd is
-//! therefore a pure *reader*: it conflicts with writers of its premise
-//! relations (so it observes same-sweep insertions of its own group, like
-//! the sequential round), while egds over relations nobody writes — and
-//! its conclusion-equality "write set", which only exists at the barrier —
-//! glue nothing. Egds no longer split sweeps into sequential segments.
+//! Egds and mixed tgd+egds are ordinary members. A pool job only
+//! *collects* their equality obligations; the one unbounded write, the
+//! null substitution, happens at the sweep barrier. Within a sweep an egd
+//! is thus a pure *reader*: it joins the group of its premise relations'
+//! writers, and egds over relations nobody writes glue nothing.
 //!
 //! The premise side of the conflict test reuses the [`TriggerIndex`]: a
 //! dependency reads exactly the relations that trigger it.
@@ -88,6 +84,15 @@ impl Partition {
         }
 
         Self { group_of, groups }
+    }
+
+    /// One group holding all `n` dependencies: the partition of a run whose
+    /// single job owns the whole instance.
+    pub fn single(n: usize) -> Self {
+        Self {
+            group_of: vec![0; n],
+            groups: vec![(0..n).collect()],
+        }
     }
 
     /// The group of dependency `k`.
@@ -164,6 +169,14 @@ mod tests {
         assert_ne!(part.group_of(0), part.group_of(2));
         assert_eq!(part.group(0), &[0, 1]);
         assert_eq!(part.group(1), &[2, 3]);
+    }
+
+    #[test]
+    fn single_partition_owns_everything() {
+        let part = Partition::single(3);
+        assert_eq!(part.group_count(), 1);
+        assert_eq!(part.group(0), &[0, 1, 2]);
+        assert_eq!(part.group_of(2), 0);
     }
 
     #[test]

@@ -1,103 +1,91 @@
-//! The delta-driven (semi-naive) chase scheduler.
+//! The delta-driven (semi-naive) chase scheduler and the one sweep driver
+//! every chase mode runs on.
 //!
-//! The classical chase loop re-evaluates every dependency's premise against
-//! the *entire* instance each round, so its cost grows with rounds ×
-//! instance size even when a round changes almost nothing. This module
-//! replaces that loop with a worklist of `(dependency, delta)` pairs:
+//! Instead of rescanning every premise against the whole instance each
+//! round, the scheduler keeps a worklist of `(dependency, delta)` pairs: a
+//! static [`TriggerIndex`] maps each relation to the dependencies whose
+//! premise reads it, each job routes the tuples its repairs insert (a
+//! [`DeltaLog`]) to the triggered members of its group, and premise
+//! evaluation is seeded from those tuples only
+//! ([`grom_engine::evaluate_body_from_delta`] anchors one premise atom to a
+//! delta tuple; atoms before the anchor read only the *old* half of their
+//! relation, so each match is enumerated exactly once).
 //!
-//! * a static [`TriggerIndex`] maps each relation to the dependencies whose
-//!   premise reads it;
-//! * the instance records the tuples each repair batch inserts (the
-//!   [`DeltaLog`] of `grom-data`);
-//! * premise evaluation is seeded from the delta tuples only
-//!   ([`grom_engine::evaluate_body_from_delta`] anchors one premise atom to
-//!   a delta tuple and joins the rest with the semi-naive old/new version
-//!   split: premise atoms before the anchor read only the *old* half of
-//!   their relation — everything except the claimed delta — so each match
-//!   is enumerated exactly once across anchor positions).
+//! ## One driver
 //!
-//! ## Old/new versioning and the claim-time promote
+//! `run` owns everything around a sweep for every mode: the round limit,
+//! budget and cancellation checks, fault points, checkpoint capture and the
+//! [`Recorder`]. [`SchedulerMode::FullRescan`] sweeps are the reference
+//! round of [`crate::standard`]. The worklist modes run one job per
+//! conflict group with pending work, all through `run_job` and the one
+//! repair of [`crate::standard`]: [`SchedulerMode::Delta`] runs on
+//! [`Partition::single`] — one job that owns every relation and the run's
+//! null map, on the calling thread — and [`SchedulerMode::Parallel`] runs
+//! the groups on a worker pool ([`crate::parallel`]). The barrier unifies
+//! pool jobs' equality obligations in declaration order, hands each job's
+//! worklist back, and applies the sweep's merges in one substitution pass.
 //!
-//! The version split leans on a storage invariant instead of stored
-//! promotion state: relation rows only append (`grom-data` tombstones and
-//! re-appends on null substitution), and a claimed delta's tuples for a
-//! relation are exactly that relation's most recently inserted live rows.
-//! This holds because substitution re-marks every reader of a rewritten
-//! relation `Full` (dropping its deltas), conclusion-overlapping
-//! dependencies share a conflict group (so only one writer appends to a
-//! relation between claims), and worklist routing only ever appends to or
-//! trims the front of a pending list. `delta_violations` therefore
-//! "promotes" implicitly: at claim time it asks the storage for the cursor
-//! splitting off the last `n` rows ([`grom_engine::Db::cursor_before_last_rel`]);
-//! everything below is old, and the next claim recomputes the cursor
-//! against the rows appended since. Debug builds assert the exactly-once
-//! guarantee with the `seen`-set check the split made redundant.
+//! ## Old/new versioning
 //!
-//! Full premise rescans remain in exactly two places, both required for
-//! correctness: every dependency's **first** activation (the initial
-//! instance is one big delta), and — after an **egd-driven null
-//! unification** — the dependencies whose premise reads a relation the
-//! substitution actually rewrote. [`Instance::substitute_nulls_batch`]
-//! reports the rewritten relations, so deltas of dependencies reading only
-//! untouched relations survive the merge ([`Scheduler::invalidate_readers`]
-//! / [`Scheduler::post_surviving`]); the blanket
-//! [`Scheduler::invalidate_all`] remains as the conservative fallback.
+//! Relation rows only append (`grom-data` tombstones and re-appends on null
+//! substitution), and a claimed delta's tuples for a relation are exactly
+//! its most recently inserted live rows: substitution re-marks every reader
+//! of a rewritten relation `Full`, one job appends to a relation between
+//! claims (its group owns it), and routing only appends to pending lists.
+//! `delta_violations` therefore splits old from new with the cursor before
+//! the last `n` rows ([`grom_engine::Db::cursor_before_last_rel`]). Debug
+//! builds assert the exactly-once guarantee.
+//!
+//! Full rescans remain in exactly two places: every dependency's **first**
+//! activation, and — after an egd-driven null unification — the readers of
+//! a relation the substitution rewrote ([`Scheduler::invalidate_readers`];
+//! deltas over untouched relations survive).
 //!
 //! ## Sweep-level egd batching
 //!
-//! Egd repairs record equality *obligations* into the [`NullMap`]
-//! union-find without touching the instance. One sweep may accumulate
-//! obligations from any number of eq-bearing dependencies; the loop applies
-//! a **single** combined substitution pass per merge-bearing sweep
-//! ([`NullMap::flatten`] + [`Instance::substitute_nulls_batch`]) followed
-//! by a single targeted reader invalidation. Until that pass runs, the
-//! instance may hold nulls with pending replacements; violations matched
-//! against it are rechecked through
-//! [`grom_engine::disjunct_satisfied_resolved`] (values resolved through
-//! the union-find) so stale ones are skipped without a rewrite, and any
-//! premise match that only materializes *after* the rewrite is recovered
-//! by the sweep-end invalidation — its premise necessarily reads a
-//! rewritten relation.
+//! Egd repairs record equality *obligations* without touching the instance;
+//! a merge-bearing sweep applies them in **one** substitution pass
+//! ([`NullMap::flatten`] + [`Instance::substitute_nulls_batch`]). Until
+//! then, violations are rechecked with values resolved through the pending
+//! merges ([`grom_engine::disjunct_satisfied_resolved`]), and a match that
+//! only appears after the rewrite reads a rewritten relation, so the
+//! invalidation recovers it. *Atom-bearing* conclusions cannot run over
+//! pending obligations — their embedding check reads stored tuples the
+//! resolution cannot see through, and could insert a redundant fresh-null
+//! tuple — so who owns the instance decides: a job that owns all of it
+//! *flushes* right before such a dependency, exactly where the
+//! declaration-ordered reference substitutes; a pool job *defers* it to the
+//! next sweep.
 //!
-//! One class of dependency cannot run over pending obligations:
-//! *atom-bearing* conclusions (tgds, mixed disjuncts), whose restricted-
-//! chase satisfaction check embeds the conclusion into the **stored**
-//! instance — binding resolution cannot see through stale stored tuples,
-//! so such a check could miss a match that materializes after the rewrite
-//! and insert a redundant fresh-null tuple the substitution cannot merge
-//! away. The sweep loop therefore *flushes* the pending obligations
-//! immediately before an atom-bearing dependency with pending work —
-//! exactly where the declaration-ordered reference loop would have
-//! substituted — so runs of obligation-recording dependencies (the
-//! egd-heavy case) still share one combined pass, and egd-only
-//! merge-bearing sweeps get exactly one.
-//!
-//! The scheduler is shared by every chase variant: [`crate::standard`] runs
-//! it directly, the greedy and exhaustive ded chases of [`crate::ded`] run
-//! their per-scenario / per-node closures through it, [`crate::parallel`]
-//! drives the same worklist with worker-pool sweeps, and
-//! [`crate::core_min`] reuses the same changed-relation reporting to keep
-//! its null-occurrence index incremental.
+//! [`SchedulerMode::FullRescan`]: crate::config::SchedulerMode::FullRescan
+//! [`SchedulerMode::Delta`]: crate::config::SchedulerMode::Delta
+//! [`SchedulerMode::Parallel`]: crate::config::SchedulerMode::Parallel
 
 use std::collections::BTreeMap;
 #[cfg(debug_assertions)]
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use grom_data::{DeltaLog, Instance, NullGenerator, Tuple};
+use grom_data::{DeltaLog, Instance, NullGenerator, StridedNullGenerator, Tuple, Value};
 use grom_lang::{Bindings, Dependency};
-use grom_trace::{ActivationKind, ActivationRecord, Recorder};
+use grom_trace::{ActivationKind, ActivationRecord, Recorder, WorkerRecorder};
 
 use grom_engine::{
     disjunct_satisfied, disjunct_satisfied_resolved, evaluate_body_from_delta, Control, Db,
 };
+use grom_exec::Store;
 
 use crate::checkpoint::{Checkpoint, ResumeState};
-use crate::config::{Budget, CancelToken, ChaseConfig, InterruptReason};
-use crate::nullmap::NullMap;
+use crate::config::{Budget, CancelToken, ChaseConfig, InterruptReason, SchedulerMode};
+use crate::nullmap::{NullMap, Unify};
+use crate::parallel::Pool;
+use crate::partition::Partition;
 use crate::result::{ChaseError, ChaseResult, ChaseStats, Interrupted};
-use crate::standard::{apply_disjunct, check_executable, collect_violations, resolve_bindings};
+use crate::standard::{
+    apply_disjunct, check_executable, collect_violations, full_rescan_round, resolve_bindings,
+    Nulls,
+};
 use crate::trigger::TriggerIndex;
 
 /// Pending work for one dependency.
@@ -159,8 +147,8 @@ impl Scheduler {
     }
 
     /// Clone the worklist for a checkpoint. Sweep-aligned by construction:
-    /// the loops only capture between sweeps, when every routed delta has
-    /// been folded into these slots.
+    /// the driver only captures between sweeps, when every job has handed
+    /// its routed deltas back into these slots.
     pub(crate) fn pending_snapshot(&self) -> Vec<Pending> {
         self.pending.clone()
     }
@@ -180,20 +168,6 @@ impl Scheduler {
         std::mem::replace(&mut self.pending[k], Pending::Idle)
     }
 
-    /// Does dependency `k` have pending work?
-    pub(crate) fn has_pending(&self, k: usize) -> bool {
-        !matches!(self.pending[k], Pending::Idle)
-    }
-
-    /// Re-schedule dependency `k` for a full rescan. Used by the parallel
-    /// executor when a worker *defers* an atom-bearing dependency whose
-    /// claimed work collided with pending equality obligations: `Full`
-    /// subsumes whatever delta was claimed, and the rescan runs after the
-    /// barrier substitution on the rewritten instance.
-    pub(crate) fn reschedule_full(&mut self, k: usize) {
-        self.pending[k] = Pending::Full;
-    }
-
     /// Route a batch of newly inserted tuples to the dependencies their
     /// relations trigger.
     pub fn post(&mut self, delta: &DeltaLog) {
@@ -206,33 +180,30 @@ impl Scheduler {
     /// readers are rescheduled for full rescans instead, see
     /// [`Scheduler::invalidate_readers`]).
     pub fn post_surviving(&mut self, delta: &DeltaLog, stale: &[Arc<str>]) {
-        for (rel, tuples) in delta.relations() {
-            if stale.contains(rel) {
-                continue;
-            }
-            for &k in self.triggers.triggered_by(rel) {
-                self.pending[k].add_delta(rel, tuples);
-            }
-        }
+        route(&mut self.pending, &self.triggers, delta, stale);
     }
 
-    /// Route a parallel job's delta batch, skipping per-dependency prefixes
-    /// the job already delivered in-sweep: `consumed[(k, rel)] = c` means
-    /// dependency `k` consumed the first `c` tuples of `rel` through the
-    /// worker-local routing, so only the remainder is posted to it.
-    pub(crate) fn post_job(
-        &mut self,
-        delta: &DeltaLog,
-        consumed: &BTreeMap<(usize, Arc<str>), usize>,
-    ) {
-        debug_assert!(!delta.invalidated(), "stale deltas must invalidate");
-        for (rel, tuples) in delta.relations() {
-            for &k in self.triggers.triggered_by(rel) {
-                let skip = consumed.get(&(k, rel.clone())).copied().unwrap_or(0);
-                if skip < tuples.len() {
-                    self.pending[k].add_delta(rel, &tuples[skip..]);
+    /// Claim the sweep's worklist: one [`Job`] per group of `partition`
+    /// with pending work, in group order.
+    fn claim(&mut self, partition: &Partition) -> Vec<Job> {
+        (0..partition.group_count())
+            .filter_map(|group| {
+                let mut pending = vec![Pending::Idle; self.pending.len()];
+                for &k in partition.group(group) {
+                    pending[k] = self.take(k);
                 }
-            }
+                pending
+                    .iter()
+                    .any(|p| !matches!(p, Pending::Idle))
+                    .then_some(Job { group, pending })
+            })
+            .collect()
+    }
+
+    /// Hand a job's worklist back.
+    fn restore(&mut self, partition: &Partition, group: usize, mut pending: Vec<Pending>) {
+        for &k in partition.group(group) {
+            self.pending[k] = std::mem::replace(&mut pending[k], Pending::Idle);
         }
     }
 
@@ -253,10 +224,28 @@ impl Scheduler {
     /// the substitution mapped none of the nulls occurring in it, so every
     /// tuple logged for it is still stored verbatim.
     pub fn invalidate_readers(&mut self, changed: &[Arc<str>]) {
-        for rel in changed {
-            for &k in self.triggers.triggered_by(rel) {
-                self.pending[k] = Pending::Full;
+        invalidate_readers(&mut self.pending, &self.triggers, changed);
+    }
+}
+
+/// Route a delta batch to the worklist slots of the dependencies its
+/// relations trigger, skipping the `stale` relations.
+fn route(pending: &mut [Pending], triggers: &TriggerIndex, delta: &DeltaLog, stale: &[Arc<str>]) {
+    for (rel, tuples) in delta.relations() {
+        if !stale.contains(rel) {
+            for &k in triggers.triggered_by(rel) {
+                pending[k].add_delta(rel, tuples);
             }
+        }
+    }
+}
+
+/// Re-mark `Full` the worklist slot of every reader of a `changed`
+/// relation.
+fn invalidate_readers(pending: &mut [Pending], triggers: &TriggerIndex, changed: &[Arc<str>]) {
+    for rel in changed {
+        for &k in triggers.triggered_by(rel) {
+            pending[k] = Pending::Full;
         }
     }
 }
@@ -264,7 +253,7 @@ impl Scheduler {
 /// Violating premise matches of `dep` seeded from per-relation deltas, in
 /// deterministic order. With `stop_at_first` (denials) at most one match is
 /// returned. Generic over [`Db`] so the parallel executor can evaluate
-/// against snapshot views. Stale delta tuples skipped by the anchor arity
+/// against ownership views. Stale delta tuples skipped by the anchor arity
 /// check are counted in `stats` instead of being dropped silently.
 ///
 /// The semi-naive version split in [`evaluate_body_from_delta`] enumerates
@@ -304,130 +293,172 @@ pub(crate) fn delta_violations(
     out
 }
 
-/// Process one dependency's claimed worklist entry against the master
-/// instance: evaluate its violations (full or delta-seeded), repair them,
-/// and feed the resulting deltas back into the scheduler. Equality repairs
-/// only record obligations into the shared [`NullMap`]; the instance is
-/// **not** rewritten here — the caller applies one combined substitution
-/// per merge-bearing sweep (see [`apply_sweep_merges`]). Returns whether
-/// this activation recorded any null merge.
-///
-/// The worker-side twin is `run_group_job` in [`crate::parallel`] — keep
-/// the claim/evaluate/denial structure of the two in sync.
+/// One conflict group's claimed work for one sweep, indexed by dependency
+/// (`Idle` for every non-member).
+pub(crate) struct Job {
+    pub group: usize,
+    pub pending: Vec<Pending>,
+}
+
+/// What a job hands back at the sweep barrier.
+#[derive(Default)]
+pub(crate) struct JobOutcome {
+    pub group: usize,
+    /// The group's worklist after the job: tuples routed to members that
+    /// already ran (they run next sweep), `Full` for deferred members.
+    pub pending: Vec<Pending>,
+    /// A pool job's equality obligations, tagged with their dependency
+    /// index, in collection order (kept on failure too).
+    pub obligations: Vec<(usize, Value, Value)>,
+    pub stats: ChaseStats,
+    pub trace: WorkerRecorder,
+    /// Largest null label drawn from the job's strided range, if any.
+    pub max_null: Option<u64>,
+    /// The failure that stopped the job, tagged with its dependency index.
+    pub failure: Option<(usize, ChaseError)>,
+    /// An interruption the job observed: a fault point, or cancellation or
+    /// the deadline at a pool job's entry.
+    pub observed: Option<InterruptReason>,
+}
+
+/// Run one job: activate the group's pending members in declaration order
+/// against `store`, repair their violations, and route every inserted tuple
+/// to the members it triggers — all of them in this group, by the partition
+/// rule. Members later in the order run on the new tuples this sweep;
+/// earlier ones (and the inserting member itself) next sweep, exactly as in
+/// the declaration-ordered reference round.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_dep_sequential(
-    inst: &mut Instance,
+pub(crate) fn run_job(
+    store: &mut impl Store,
+    nulls: &mut Nulls,
     deps: &[Dependency],
-    k: usize,
-    sched: &mut Scheduler,
-    nullmap: &mut NullMap,
-    nullgen: &mut NullGenerator,
-    stats: &mut ChaseStats,
-    rec: &mut Recorder,
-    sweep: u64,
-) -> Result<bool, ChaseError> {
-    let dep = &deps[k];
-    let pending = sched.take(k);
-    if matches!(pending, Pending::Idle) {
-        return Ok(false);
-    }
-    let t0 = Instant::now();
-    let tuples0 = stats.tuples_inserted;
-    let obligations0 = stats.obligations_batched;
-    let (kind, seeded, violations) = match pending {
-        Pending::Idle => unreachable!("handled above"),
-        Pending::Full => {
-            stats.full_rescans += 1;
-            if dep.is_denial() {
-                if let Some(v) = grom_engine::find_violation(inst, dep) {
-                    return Err(ChaseError::Failure {
-                        dependency: dep.name.clone(),
-                        detail: format!("denial premise matched at {}", v.bindings),
-                    });
-                }
-                (ActivationKind::Full, 0, Vec::new())
-            } else {
-                (ActivationKind::Full, 0, collect_violations(inst, dep))
-            }
-        }
-        Pending::Delta(map) => {
-            stats.delta_activations += 1;
-            let seeded = map.values().map(Vec::len).sum::<usize>();
-            stats.delta_tuples_seeded += seeded;
-            let vs = delta_violations(inst, dep, &map, dep.is_denial(), stats);
-            if dep.is_denial() {
-                if let Some(b) = vs.first() {
-                    return Err(ChaseError::Failure {
-                        dependency: dep.name.clone(),
-                        detail: format!("denial premise matched at {b}"),
-                    });
-                }
-                (ActivationKind::Delta, seeded as u64, Vec::new())
-            } else {
-                (ActivationKind::Delta, seeded as u64, vs)
-            }
-        }
+    triggers: &TriggerIndex,
+    partition: &Partition,
+    job: Job,
+    mut fresh: StridedNullGenerator,
+) -> JobOutcome {
+    let mut out = JobOutcome {
+        group: job.group,
+        pending: job.pending,
+        ..Default::default()
     };
-
-    let mut any_merge = false;
-    // Idempotent repairs (ground single-disjunct conclusions) skip the
-    // recheck entirely: re-applying one is a dedup'd no-op, so the probe
-    // would only re-derive what `Instance::insert` decides anyway. The
-    // null map cannot grow mid-batch here (no equalities to record).
-    let direct = !violations.is_empty() && nullmap.is_empty() && idempotent_repair(dep);
-    for b in &violations {
-        // Satisfied-under-pending-obligations recheck: earlier repairs in
-        // this batch may already satisfy the match even though the
-        // instance has not been rewritten yet. With an empty null map
-        // (egd-free workloads, the common case) the resolution is the
-        // identity, so the raw bindings are checked — and applied —
-        // directly, skipping two clone-and-resolve passes per violation.
-        if nullmap.is_empty() {
-            if !direct && disjunct_satisfied(inst, &dep.disjuncts[0], b) {
-                continue;
-            }
-            any_merge |= apply_disjunct(inst, dep, 0, b, nullmap, nullgen, stats)?;
-        } else {
-            if disjunct_satisfied_resolved(inst, &dep.disjuncts[0], b, &mut |v| nullmap.resolve(v))
-            {
-                continue;
-            }
-            let b = resolve_bindings(b, nullmap);
-            any_merge |= apply_disjunct(inst, dep, 0, &b, nullmap, nullgen, stats)?;
+    let stats = &mut out.stats;
+    for &k in partition.group(job.group) {
+        if matches!(out.pending[k], Pending::Idle) {
+            continue;
         }
-    }
+        let dep = &deps[k];
+        // An atom-bearing dependency must not evaluate against pending
+        // equalities: its embedding checks read stored tuples the
+        // resolution cannot see through. The owner of the whole instance
+        // substitutes first; a pool job defers past the barrier's pass.
+        if nulls.pending() && concludes_atoms(dep) {
+            let (Some(inst), Nulls::Owned { map, merged }) = (store.whole(), &mut *nulls) else {
+                out.pending[k] = Pending::Full;
+                continue;
+            };
+            *merged = false;
+            let t0 = Instant::now();
+            let (resolved, changed) = apply_sweep_merges(inst, map, stats);
+            invalidate_readers(&mut out.pending, triggers, &changed);
+            let wall_ns = t0.elapsed().as_nanos() as u64;
+            out.trace.substitution(resolved, changed.len(), wall_ns);
+            if grom_fail::hit("subst") {
+                out.observed.get_or_insert(InterruptReason::Fault);
+            }
+        }
 
-    let log = inst.take_delta();
-    if !log.is_empty() {
-        // Route everything; if this sweep turns out to be merge-bearing,
-        // the sweep-end invalidation re-marks every reader of a rewritten
-        // relation Full, subsuming any stale tuples routed here.
-        sched.post(&log);
-    }
-    rec.activation(
-        sweep,
-        &ActivationRecord {
+        let t0 = Instant::now();
+        let tuples0 = stats.tuples_inserted;
+        let obligations0 = stats.obligations_batched;
+        let dedup0 = store.dedup_hits();
+        let (kind, seeded, mut violations) =
+            match std::mem::replace(&mut out.pending[k], Pending::Idle) {
+                Pending::Idle => unreachable!("idle slots are skipped"),
+                Pending::Full if dep.is_denial() => {
+                    stats.full_rescans += 1;
+                    let found = grom_engine::find_violation(&*store, dep).map(|v| v.bindings);
+                    (ActivationKind::Full, 0, found.into_iter().collect())
+                }
+                Pending::Full => {
+                    stats.full_rescans += 1;
+                    (ActivationKind::Full, 0, collect_violations(&*store, dep))
+                }
+                Pending::Delta(map) => {
+                    stats.delta_activations += 1;
+                    let seeded = map.values().map(Vec::len).sum::<usize>();
+                    stats.delta_tuples_seeded += seeded;
+                    let vs = delta_violations(&*store, dep, &map, dep.is_denial(), stats);
+                    (ActivationKind::Delta, seeded as u64, vs)
+                }
+            };
+        let mut failure = None;
+        if dep.is_denial() {
+            // A denial has nothing to repair: any match is the failure.
+            failure = violations.drain(..).next().map(|b| ChaseError::Failure {
+                dependency: dep.name.clone(),
+                detail: format!("denial premise matched at {b}"),
+            });
+        }
+
+        // Idempotent repairs (ground single-disjunct conclusions) skip the
+        // recheck entirely: re-applying one is a dedup'd no-op, so the probe
+        // would only re-derive what the insert decides anyway. No merge can
+        // become pending mid-batch here (no equalities to record).
+        let direct = !violations.is_empty() && nulls.is_identity() && idempotent_repair(dep);
+        for b in &violations {
+            // Satisfied-under-pending-obligations recheck: earlier repairs
+            // may already satisfy the match even though the instance has
+            // not been rewritten yet. With nothing mapped (egd-free
+            // workloads, the common case) the resolution is the identity,
+            // so the raw bindings are checked — and applied — directly.
+            let repaired = if nulls.is_identity() {
+                if !direct && disjunct_satisfied(&*store, &dep.disjuncts[0], b) {
+                    continue;
+                }
+                apply_disjunct(store, k, dep, 0, b, nulls, &mut || fresh.fresh(), stats)
+            } else {
+                if disjunct_satisfied_resolved(&*store, &dep.disjuncts[0], b, &mut |v| {
+                    nulls.resolve(v)
+                }) {
+                    continue;
+                }
+                let b = resolve_bindings(b, nulls);
+                apply_disjunct(store, k, dep, 0, &b, nulls, &mut || fresh.fresh(), stats)
+            };
+            if let Err(e) = repaired {
+                failure = Some(e);
+                break;
+            }
+        }
+        out.trace.record(ActivationRecord {
             dep: k,
             kind,
             seeded,
             violations: violations.len() as u64,
             tuples: (stats.tuples_inserted - tuples0) as u64,
             obligations: (stats.obligations_batched - obligations0) as u64,
-            dedup_hits: 0,
+            dedup_hits: store.dedup_hits() - dedup0,
             wall_ns: t0.elapsed().as_nanos() as u64,
-        },
-    );
-    Ok(any_merge)
+        });
+        if let Some(e) = failure {
+            out.failure = Some((k, e));
+            break;
+        }
+
+        // Route everything — every reader is in this group; if this sweep
+        // turns out to be merge-bearing, the substitution re-marks every
+        // reader of a rewritten relation Full, subsuming stale tuples.
+        route(&mut out.pending, triggers, &store.take_delta(), &[]);
+    }
+    out.max_null = fresh.max_allocated();
+    out
 }
 
-/// Does any disjunct of `dep` conclude atoms? Atom-bearing repairs embed
-/// their conclusion into the *stored* instance (`has_match`), which the
-/// pending-obligation resolution cannot see through: running one while
-/// obligations are pending could miss a match that only materializes after
-/// the substitution and insert a redundant fresh-null tuple the
-/// substitution cannot merge away. The batched loops therefore flush (or
-/// defer) around such dependencies; pure egds, denials and
-/// comparison-only disjuncts are binding-level checks and need neither.
+/// Does any disjunct of `dep` conclude atoms? Such a repair embeds its
+/// conclusion into the *stored* instance, which pending obligations are not
+/// yet applied to, so `run_job` flushes (or defers) before it; pure egds,
+/// denials and comparison-only disjuncts are binding-level checks.
 pub(crate) fn concludes_atoms(dep: &Dependency) -> bool {
     dep.disjuncts.iter().any(|d| !d.atoms.is_empty())
 }
@@ -435,56 +466,40 @@ pub(crate) fn concludes_atoms(dep: &Dependency) -> bool {
 /// Is re-applying `dep`'s repair to an already-satisfied match a no-op? True
 /// for a single disjunct with no equalities and no existential variables:
 /// the conclusion is then a fixed set of ground atoms per premise match, and
-/// the insert-side dedup makes a redundant application invisible. The
-/// batched loops use this to skip the satisfied-under-pending-repairs
-/// recheck — one stored-instance probe per violation on the hot path.
-/// Dependencies with equalities, multiple disjuncts, or existentials (where
-/// a redundant application would invent a fresh, unmergeable null) keep the
-/// recheck.
+/// the insert-side dedup makes a redundant application invisible, so jobs
+/// skip the satisfied-under-pending-repairs recheck — one stored-instance
+/// probe per violation. With equalities, several disjuncts or existentials
+/// (a redundant application would invent an unmergeable null) the recheck
+/// stays.
 pub(crate) fn idempotent_repair(dep: &Dependency) -> bool {
     dep.disjuncts.len() == 1
         && dep.disjuncts[0].eqs.is_empty()
         && dep.existential_vars(0).is_empty()
 }
 
-/// Apply one sweep's accumulated equality obligations: flatten the
-/// union-find once, rewrite the instance in a **single** combined pass,
-/// and re-schedule exactly the dependencies whose premise reads a
-/// rewritten relation. Called once per merge-bearing sweep by the
-/// sequential delta loop and by the parallel executor's sweep barrier —
-/// plus mid-sweep when an atom-bearing dependency is about to run with
-/// obligations pending, so its satisfaction checks see exactly the
-/// instance state the declaration-ordered reference loop gives them.
-/// Returns `true` when the `subst` fault-injection point fired an
-/// interruption (the pass itself always completes — interruption is
-/// observed by the caller at the next sweep boundary).
+/// Apply the null map's accumulated merges: flatten the union-find once
+/// and rewrite the instance in a **single** combined pass. Returns the
+/// number of mapped labels and the rewritten relations, whose readers the
+/// caller re-schedules `Full`. Called once per merge-bearing sweep at the
+/// barrier — plus mid-sweep by a job that owns the whole instance when an
+/// atom-bearing dependency is about to run with merges pending, so its
+/// satisfaction checks see exactly the instance state the
+/// declaration-ordered reference loop gives them.
 pub(crate) fn apply_sweep_merges(
     inst: &mut Instance,
     nullmap: &mut NullMap,
-    sched: &mut Scheduler,
     stats: &mut ChaseStats,
-    rec: &mut Recorder,
-    sweep: u64,
-) -> bool {
-    let t0 = Instant::now();
+) -> (usize, Vec<Arc<str>>) {
     let map = nullmap.flatten();
     let changed = inst.substitute_nulls_batch(&map);
     inst.take_delta(); // discard the invalidation marker, if tracking
     stats.substitution_passes += 1;
-    sched.invalidate_readers(&changed);
-    rec.substitution(
-        sweep,
-        map.len(),
-        changed.len(),
-        t0.elapsed().as_nanos() as u64,
-    );
-    grom_fail::hit("subst")
+    (map.len(), changed)
 }
 
-/// Cooperative budget/cancellation check, shared by every chase loop.
-/// Cancellation wins over budget exhaustion so a Ctrl-C is reported as
-/// such even when a cap tripped in the same activation.
-pub(crate) fn trip_check(
+/// Cooperative budget/cancellation check. Cancellation wins over budget
+/// exhaustion so a Ctrl-C is reported as such even when a cap tripped too.
+fn trip_check(
     budget: &Budget,
     cancel: &CancelToken,
     stats: &ChaseStats,
@@ -495,28 +510,176 @@ pub(crate) fn trip_check(
     budget.exceeded(stats.tuples_inserted, stats.nulls_invented)
 }
 
-/// Package a sweep-aligned interruption: stop delta tracking, capture the
-/// checkpoint, and wrap everything the run produced into the internal
-/// `Err(ChaseError::Interrupted)` the entry points surface as
-/// [`crate::ChaseOutcome::Interrupted`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn interrupted_return(
-    reason: InterruptReason,
-    mode: &str,
-    mut inst: Instance,
-    nullmap: &mut NullMap,
-    sched: &Scheduler,
-    stats: ChaseStats,
-    rec: Recorder,
-    next_null: u64,
+/// What a run carries from sweep to sweep.
+pub(crate) struct RunState {
+    pub inst: Instance,
+    pub nullmap: NullMap,
+    pub nullgen: NullGenerator,
+    pub stats: ChaseStats,
+    pub rec: Recorder,
+    sched: Scheduler,
+}
+
+/// How a sweep ended, as far as the driver cares.
+#[derive(Debug)]
+pub(crate) struct SweepEnd {
+    /// Did the sweep repair anything? A reference round that did not ends
+    /// the run; worklist sweeps always report progress and end the run when
+    /// no work is pending.
+    pub progressed: bool,
+    /// An interruption observed during the sweep, acted on at its end.
+    pub observed: Option<InterruptReason>,
+}
+
+/// What runs a mode's sweeps.
+enum Sweeper {
+    Reference,
+    Jobs {
+        partition: Partition,
+        pool: Option<Pool>,
+    },
+}
+
+/// The one chase driver: run `deps` from `state` under `mode` until no
+/// work is left. Started sweeps always complete — skipping work mid-sweep
+/// would diverge from the declaration-ordered reference — so trips are
+/// acted on at sweep boundaries only: before a sweep, which is then not
+/// counted, and after it.
+pub(crate) fn run(
+    state: ResumeState,
+    deps: &[Dependency],
+    config: &ChaseConfig,
+    mode: SchedulerMode,
 ) -> Result<ChaseResult, ChaseError> {
-    inst.end_delta_tracking();
-    let checkpoint = Checkpoint::capture(
-        mode,
-        stats.rounds,
+    for dep in deps {
+        check_executable(dep, false)?;
+    }
+    let ResumeState {
+        mut inst,
+        rounds,
         next_null,
-        &inst,
         nullmap,
+        pending,
+    } = state;
+    // Every relation a conclusion writes exists before the first sweep, so
+    // the relation store can be split by owner.
+    for atom in deps
+        .iter()
+        .flat_map(|d| &d.disjuncts)
+        .flat_map(|d| &d.atoms)
+    {
+        inst.ensure_relation(&atom.predicate);
+    }
+    let (label, pending) = match mode {
+        // The reference round rescans everything, so its checkpoints
+        // schedule every dependency Full whatever worklist it resumed from.
+        SchedulerMode::FullRescan => ("full_rescan".to_string(), vec![Pending::Full; deps.len()]),
+        SchedulerMode::Delta => ("delta".to_string(), pending),
+        SchedulerMode::Parallel { threads } => (format!("parallel{threads}"), pending),
+    };
+    let names: Vec<String> = deps.iter().map(|d| d.name.to_string()).collect();
+    let mut run = RunState {
+        inst,
+        nullmap,
+        nullgen: NullGenerator::starting_at(next_null),
+        stats: ChaseStats {
+            rounds,
+            ..Default::default()
+        },
+        rec: Recorder::new(&names, &label, &config.trace),
+        sched: Scheduler::with_pending(deps, pending),
+    };
+    let budget = config.budget.anchored();
+    let sweeper = match mode {
+        SchedulerMode::FullRescan => Sweeper::Reference,
+        SchedulerMode::Delta => {
+            run.inst.begin_delta_tracking();
+            let partition = Partition::single(deps.len());
+            Sweeper::Jobs {
+                partition,
+                pool: None,
+            }
+        }
+        SchedulerMode::Parallel { threads } => {
+            let partition = Partition::build(deps, run.sched.triggers());
+            let groups: Vec<usize> = (0..deps.len()).map(|k| partition.group_of(k)).collect();
+            run.rec.set_groups(&groups);
+            let pool = Pool::new(
+                threads,
+                &run.inst,
+                deps,
+                &partition,
+                &budget,
+                &config.cancel,
+            );
+            let pool = Some(pool);
+            Sweeper::Jobs { partition, pool }
+        }
+    };
+
+    let interrupted = loop {
+        if run.stats.rounds >= config.max_rounds {
+            return Err(ChaseError::RoundLimit {
+                rounds: run.stats.rounds,
+                stats: Box::new(run.stats),
+                profile: Box::new(run.rec.finish()),
+            });
+        }
+        run.stats.rounds += 1;
+        let sweep = run.stats.rounds as u64;
+        if !run.sched.has_work() {
+            break None;
+        }
+        let mut tripped = trip_check(&budget, &config.cancel, &run.stats);
+        if grom_fail::hit("sweep") {
+            tripped.get_or_insert(InterruptReason::Fault);
+        }
+        if tripped.is_some() {
+            run.stats.rounds -= 1;
+            break tripped;
+        }
+        let end = match &sweeper {
+            Sweeper::Reference => full_rescan_round(&mut run, deps, sweep)?,
+            Sweeper::Jobs { partition, pool } => {
+                run_sweep(&mut run, deps, partition, pool.as_ref(), sweep)?
+            }
+        };
+        // A reached fixpoint beats an interruption: the result is final,
+        // so there is nothing to resume.
+        if !end.progressed {
+            break None;
+        }
+        let tripped = end
+            .observed
+            .or_else(|| trip_check(&budget, &config.cancel, &run.stats));
+        if tripped.is_some() {
+            break tripped;
+        }
+    };
+
+    let RunState {
+        mut inst,
+        mut nullmap,
+        nullgen,
+        stats,
+        rec,
+        sched,
+    } = run;
+    inst.end_delta_tracking();
+    let Some(reason) = interrupted else {
+        let profile = rec.finish();
+        return Ok(ChaseResult {
+            instance: inst,
+            stats,
+            profile,
+        });
+    };
+    let checkpoint = Checkpoint::capture(
+        &label,
+        stats.rounds,
+        nullgen.peek_next(),
+        &inst,
+        &mut nullmap,
         sched.pending_snapshot(),
     );
     Err(ChaseError::Interrupted(Box::new(Interrupted {
@@ -528,172 +691,126 @@ pub(crate) fn interrupted_return(
     })))
 }
 
-/// The delta-driven standard chase: same semantics and failure modes as
-/// [`crate::standard::chase_standard_full_rescan`], driven by the
-/// [`Scheduler`] worklist instead of full per-round rescans.
-pub(crate) fn chase_standard_delta(
-    start: Instance,
+/// One worklist sweep: claim every group's pending work, run the jobs, and
+/// pass the barrier.
+fn run_sweep(
+    run: &mut RunState,
     deps: &[Dependency],
-    config: &ChaseConfig,
-) -> Result<ChaseResult, ChaseError> {
-    for dep in deps {
-        check_executable(dep, false)?;
-    }
-    chase_delta_loop(ResumeState::fresh(start, deps), deps, config)
-}
-
-/// Continue a checkpointed run on the delta scheduler. Same loop as a
-/// fresh run: the [`ResumeState`] carries the round count, the null
-/// cursor, the pending worklist and the re-installed null map.
-pub(crate) fn chase_delta_resume(
-    state: ResumeState,
-    deps: &[Dependency],
-    config: &ChaseConfig,
-) -> Result<ChaseResult, ChaseError> {
-    for dep in deps {
-        check_executable(dep, false)?;
-    }
-    chase_delta_loop(state, deps, config)
-}
-
-fn chase_delta_loop(
-    state: ResumeState,
-    deps: &[Dependency],
-    config: &ChaseConfig,
-) -> Result<ChaseResult, ChaseError> {
-    let ResumeState {
-        mut inst,
-        rounds,
-        next_null,
-        mut nullmap,
-        pending,
-    } = state;
-    let mut stats = ChaseStats {
-        rounds,
-        ..Default::default()
+    partition: &Partition,
+    pool: Option<&Pool>,
+    sweep: u64,
+) -> Result<SweepEnd, ChaseError> {
+    let jobs = run.sched.claim(partition);
+    let triggers = run.sched.triggers();
+    // Null ranges and result order are functions of the job index, so the
+    // sweep is deterministic under any thread schedule.
+    let base_label = run.nullgen.peek_next();
+    let stride = jobs.len() as u64;
+    let t_eval = Instant::now();
+    let mut merged = false;
+    let outcomes: Vec<(JobOutcome, Option<Duration>)> = match pool {
+        // The calling thread owns the whole instance and the run's null map.
+        None => {
+            let mut nulls = Nulls::owned(&mut run.nullmap);
+            let mut outcomes = Vec::new();
+            for (j, job) in jobs.into_iter().enumerate() {
+                let fresh = StridedNullGenerator::new(base_label, j as u64, stride);
+                let o = run_job(
+                    &mut run.inst,
+                    &mut nulls,
+                    deps,
+                    triggers,
+                    partition,
+                    job,
+                    fresh,
+                );
+                outcomes.push((o, None));
+            }
+            merged = nulls.take_merged();
+            outcomes
+        }
+        Some(pool) => {
+            let (inst, nullmap) = (&mut run.inst, &run.nullmap);
+            pool.run(inst, deps, triggers, partition, nullmap, jobs, base_label)?
+        }
     };
-    let mut nullgen = NullGenerator::starting_at(next_null);
-    let mut sched = Scheduler::with_pending(deps, pending);
-    let names: Vec<String> = deps.iter().map(|d| d.name.to_string()).collect();
-    let mut rec = Recorder::new(&names, "delta", &config.trace);
-    let budget = config.budget.anchored();
-    inst.begin_delta_tracking();
+    let evaluate_ns = t_eval.elapsed().as_nanos() as u64;
+    let t_merge = Instant::now();
 
-    loop {
-        if stats.rounds >= config.max_rounds {
-            let profile = Box::new(rec.finish());
-            return Err(ChaseError::RoundLimit {
-                rounds: stats.rounds,
-                stats: Box::new(stats),
-                profile,
-            });
-        }
-        stats.rounds += 1;
-        let sweep = stats.rounds as u64;
-        if !sched.has_work() {
-            break;
-        }
-
-        // Sweep-start interruption point: budget, cancellation and the
-        // `sweep` fault all stop the run *before* any work of this sweep,
-        // so the aborted sweep is not counted.
-        let mut tripped = trip_check(&budget, &config.cancel, &stats);
-        if grom_fail::hit("sweep") {
-            tripped.get_or_insert(InterruptReason::Fault);
-        }
-        if let Some(reason) = tripped {
-            stats.rounds -= 1;
-            return interrupted_return(
-                reason,
-                "delta",
-                inst,
-                &mut nullmap,
-                &sched,
-                stats,
-                rec,
-                nullgen.peek_next(),
-            );
-        }
-
-        // Once a sweep starts it always COMPLETES: skipping or deferring
-        // mid-sweep would diverge from the declaration-ordered reference
-        // semantics (an unapplied tgd can change which nulls later
-        // dependencies see). Budget trips observed mid-sweep are recorded
-        // and acted on at the sweep boundary — at most one sweep of
-        // overshoot, bounded by the per-activation check below.
-        let mut tripped: Option<InterruptReason> = None;
-        let mut sweep_merged = false;
-        for k in 0..deps.len() {
-            // An atom-bearing dependency must not evaluate against an
-            // instance with pending obligations (its embedding checks
-            // read stored tuples the resolution cannot see through):
-            // flush first, exactly where the declaration-ordered
-            // reference loop would have substituted. Runs of
-            // obligation-recording dependencies — the egd-heavy case —
-            // still share one combined pass.
-            if sweep_merged && concludes_atoms(&deps[k]) && sched.has_pending(k) {
-                if apply_sweep_merges(
-                    &mut inst,
-                    &mut nullmap,
-                    &mut sched,
-                    &mut stats,
-                    &mut rec,
-                    sweep,
-                ) {
-                    tripped.get_or_insert(InterruptReason::Fault);
-                }
-                sweep_merged = false;
-            }
-            sweep_merged |= run_dep_sequential(
-                &mut inst,
-                deps,
-                k,
-                &mut sched,
-                &mut nullmap,
-                &mut nullgen,
-                &mut stats,
-                &mut rec,
-                sweep,
-            )?;
-            if tripped.is_none() {
-                tripped = trip_check(&budget, &config.cancel, &stats);
-            }
-        }
-        if sweep_merged {
-            // One combined substitution pass for the sweep's remaining
-            // obligations, however many dependencies recorded them.
-            if apply_sweep_merges(
-                &mut inst,
-                &mut nullmap,
-                &mut sched,
-                &mut stats,
-                &mut rec,
-                sweep,
-            ) {
-                tripped.get_or_insert(InterruptReason::Fault);
-            }
-        }
-        rec.end_sweep(sweep, None, 0);
-        if let Some(reason) = tripped {
-            return interrupted_return(
-                reason,
-                "delta",
-                inst,
-                &mut nullmap,
-                &sched,
-                stats,
-                rec,
-                nullgen.peek_next(),
-            );
-        }
+    // The barrier-entry fault point, then the jobs' observations in job
+    // order, so the recorded reason is deterministic.
+    let mut end = SweepEnd {
+        progressed: true,
+        observed: (pool.is_some() && grom_fail::hit("barrier")).then_some(InterruptReason::Fault),
+    };
+    for (o, _) in &outcomes {
+        end.observed = end.observed.or(o.observed);
     }
 
-    inst.end_delta_tracking();
-    Ok(ChaseResult {
-        instance: inst,
-        stats,
-        profile: rec.finish(),
-    })
+    // Unify the pool jobs' obligations stably sorted by declaration index
+    // (each dependency lives in one job, so per-dependency collection order
+    // is kept): constant clashes surface here, deterministically.
+    let mut obligations: Vec<&(usize, Value, Value)> =
+        outcomes.iter().flat_map(|(o, _)| &o.obligations).collect();
+    obligations.sort_by_key(|(k, _, _)| *k);
+    let mut clash: Option<(usize, ChaseError)> = None;
+    for (k, l, r) in obligations {
+        match run.nullmap.unify(l, r) {
+            Unify::Noop => {}
+            Unify::Merged => {
+                merged = true;
+                run.stats.egd_merges += 1;
+            }
+            Unify::Clash(a, b) => {
+                clash = Some((*k, ChaseError::clash(&deps[*k].name, &a, &b)));
+                break;
+            }
+        }
+    }
+    // Report the earliest failure by dependency index (a job's failure
+    // before a barrier clash on ties), mirroring declaration order.
+    let job_failure = outcomes
+        .iter()
+        .filter_map(|(o, _)| o.failure.clone())
+        .min_by_key(|(k, _)| *k);
+    if let Some((_, e)) = job_failure.into_iter().chain(clash).min_by_key(|(k, _)| *k) {
+        return Err(e);
+    }
+
+    // Fold the jobs in job order, so counters, the profile and the event
+    // stream are thread-schedule-independent.
+    for (o, busy) in outcomes {
+        run.stats.absorb(&o.stats);
+        if let Some(busy) = busy {
+            run.rec.group_job(o.group, busy.as_nanos() as u64);
+        }
+        run.rec.merge_worker(sweep, o.trace);
+        if let Some(m) = o.max_null {
+            run.nullgen.advance_to(m + 1);
+        }
+        run.sched.restore(partition, o.group, o.pending);
+    }
+    let merge_ns = t_merge.elapsed().as_nanos() as u64;
+
+    if merged {
+        let t0 = Instant::now();
+        let (resolved, changed) =
+            apply_sweep_merges(&mut run.inst, &mut run.nullmap, &mut run.stats);
+        run.sched.invalidate_readers(&changed);
+        let wall_ns = t0.elapsed().as_nanos() as u64;
+        run.rec
+            .substitution(sweep, resolved, changed.len(), wall_ns);
+        if grom_fail::hit("subst") {
+            end.observed.get_or_insert(InterruptReason::Fault);
+        }
+    }
+    // The calling thread's evaluate phase is the sum of its activations,
+    // and it has no barrier merge to time.
+    match pool {
+        Some(_) => run.rec.end_sweep(sweep, Some(evaluate_ns), merge_ns),
+        None => run.rec.end_sweep(sweep, None, 0),
+    }
+    Ok(end)
 }
 
 #[cfg(test)]
@@ -701,6 +818,20 @@ mod tests {
     use super::*;
     use grom_data::Value;
     use grom_lang::parser::parse_program;
+
+    /// The Delta mode, whatever `GROM_THREADS` makes the default.
+    fn chase_standard_delta(
+        start: Instance,
+        deps: &[Dependency],
+        config: &ChaseConfig,
+    ) -> Result<ChaseResult, ChaseError> {
+        run(
+            ResumeState::fresh(start, deps),
+            deps,
+            config,
+            SchedulerMode::Delta,
+        )
+    }
 
     #[test]
     fn scheduler_routes_deltas_by_trigger() {
@@ -824,7 +955,6 @@ mod tests {
         // cannot see through) — otherwise t2 misses the post-substitution
         // match T(5, 7) and inserts a redundant T(5, N) with a fresh null
         // the sweep-end substitution cannot merge away.
-        use crate::config::SchedulerMode;
         use crate::standard::{chase_standard, chase_standard_full_rescan};
         use grom_data::canonical_render;
         let p = parse_program(
@@ -847,7 +977,7 @@ mod tests {
             canonical_render(&batched.instance)
         );
         // t1, e and t2 share relation T, so they form one conflict group
-        // and the worker defers t2 past the barrier substitution.
+        // and the pool job defers t2 past the barrier substitution.
         let par = chase_standard(
             start,
             &p.deps,

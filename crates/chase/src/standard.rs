@@ -21,17 +21,18 @@
 
 use std::time::Instant;
 
-use grom_data::{Instance, NullGenerator, Value};
+use grom_data::{Instance, Value};
 use grom_lang::{Bindings, Dependency, Term, Var};
-use grom_trace::{ActivationKind, ActivationRecord, Recorder};
+use grom_trace::{ActivationKind, ActivationRecord};
 
 use grom_engine::{disjunct_satisfied, evaluate_body_streaming, Control, Db};
+use grom_exec::Store;
 
-use crate::checkpoint::{Checkpoint, ResumeState};
-use crate::config::{ChaseConfig, InterruptReason};
+use crate::checkpoint::ResumeState;
+use crate::config::{ChaseConfig, InterruptReason, SchedulerMode};
 use crate::nullmap::{NullMap, Unify};
-use crate::result::{ChaseError, ChaseOutcome, ChaseResult, ChaseStats, Interrupted};
-use crate::scheduler::{trip_check, Pending};
+use crate::result::{ChaseError, ChaseOutcome, ChaseResult, ChaseStats};
+use crate::scheduler::{RunState, SweepEnd};
 
 /// Reject dependencies the standard chase cannot execute.
 pub(crate) fn check_executable(dep: &Dependency, allow_deds: bool) -> Result<(), ChaseError> {
@@ -64,29 +65,142 @@ pub(crate) fn collect_violations(db: &impl Db, dep: &Dependency) -> Vec<Bindings
 
 /// Resolve every value of a binding through the null map (bindings become
 /// stale when egds merge nulls after the match was found).
-pub(crate) fn resolve_bindings(b: &Bindings, nm: &mut NullMap) -> Bindings {
+pub(crate) fn resolve_bindings(b: &Bindings, nulls: &mut Nulls) -> Bindings {
     let mut out = Bindings::new();
     for (v, val) in b.iter() {
-        out.bind(v.clone(), nm.resolve(val));
+        out.bind(v.clone(), nulls.resolve(val));
     }
     out
 }
 
-/// Apply one disjunct to repair a violation. Returns `true` if any null
-/// merge happened (the caller must re-normalize the instance).
-/// The parallel executor's equality-free twin is `apply_group_disjunct`
-/// in [`crate::parallel`] — keep the comparison and atom semantics of the
-/// two in sync.
+/// How a repair resolves bound values and where its equalities go.
+#[derive(Debug)]
+pub(crate) enum Nulls<'a> {
+    /// The caller owns the run's null map: equalities unify in place, and
+    /// `merged` notes that the instance holds nulls with pending
+    /// replacements until the caller substitutes.
+    Owned { map: &'a mut NullMap, merged: bool },
+    /// A pool job: the sweep-start map is shared read-only, and equalities
+    /// are collected as obligations tagged with their dependency index, for
+    /// the barrier to unify in declaration order. The job-local `overlay`
+    /// lets later violations of the same job see the pending merges.
+    Collect {
+        frozen: &'a NullMap,
+        overlay: NullMap,
+        obligations: Vec<(usize, Value, Value)>,
+    },
+}
+
+impl<'a> Nulls<'a> {
+    pub(crate) fn owned(map: &'a mut NullMap) -> Self {
+        Nulls::Owned { map, merged: false }
+    }
+
+    pub(crate) fn collect(frozen: &'a NullMap) -> Self {
+        Nulls::Collect {
+            frozen,
+            overlay: NullMap::new(),
+            obligations: Vec::new(),
+        }
+    }
+
+    /// Is resolution the identity? Then raw bindings are already resolved.
+    pub(crate) fn is_identity(&self) -> bool {
+        match self {
+            Nulls::Owned { map, .. } => map.is_empty(),
+            Nulls::Collect {
+                frozen, overlay, ..
+            } => frozen.is_empty() && overlay.is_empty(),
+        }
+    }
+
+    /// Resolve a value through every pending merge. Stored tuples are clean
+    /// with respect to a pool job's frozen map (every sweep that merges
+    /// also substitutes), so there the overlay carries all the action.
+    pub(crate) fn resolve(&mut self, v: &Value) -> Value {
+        match self {
+            Nulls::Owned { map, .. } => map.resolve(v),
+            Nulls::Collect {
+                frozen, overlay, ..
+            } => overlay.resolve(&frozen.resolve_frozen(v)),
+        }
+    }
+
+    /// Are there equalities the stored instance does not reflect yet?
+    pub(crate) fn pending(&self) -> bool {
+        match self {
+            Nulls::Owned { merged, .. } => *merged,
+            Nulls::Collect { obligations, .. } => !obligations.is_empty(),
+        }
+    }
+
+    /// Clear the pending flag of an owned map, returning it; the caller
+    /// substitutes the merges it reported.
+    pub(crate) fn take_merged(&mut self) -> bool {
+        match self {
+            Nulls::Owned { merged, .. } => std::mem::take(merged),
+            Nulls::Collect { .. } => false,
+        }
+    }
+
+    /// Enforce `l = r` on behalf of dependency `k`. An owned map unifies
+    /// (failing on a constant clash); a pool job records the obligation
+    /// unless the overlay already equates the two — a local clash is
+    /// recorded too, and surfaces deterministically at the barrier.
+    fn equate(
+        &mut self,
+        k: usize,
+        dep: &Dependency,
+        l: &Value,
+        r: &Value,
+        stats: &mut ChaseStats,
+    ) -> Result<(), ChaseError> {
+        match self {
+            Nulls::Owned { map, merged } => {
+                stats.obligations_batched += 1;
+                match map.unify(l, r) {
+                    Unify::Noop => {}
+                    Unify::Merged => {
+                        *merged = true;
+                        stats.egd_merges += 1;
+                    }
+                    Unify::Clash(a, b) => return Err(ChaseError::clash(&dep.name, &a, &b)),
+                }
+            }
+            Nulls::Collect {
+                frozen,
+                overlay,
+                obligations,
+            } => {
+                let la = overlay.resolve(&frozen.resolve_frozen(l));
+                let ra = overlay.resolve(&frozen.resolve_frozen(r));
+                if la != ra {
+                    obligations.push((k, l.clone(), r.clone()));
+                    stats.obligations_batched += 1;
+                    let _ = overlay.unify(&la, &ra);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Apply disjunct `disjunct_idx` of dependency `k` to repair a violation:
+/// comparisons must hold, equalities go through `nulls`, and atoms are
+/// inserted into `store` with bound values resolved and one fresh null per
+/// existential variable. The one repair of every chase: the reference
+/// loop, the sweep jobs and the exhaustive ded chase.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_disjunct(
-    inst: &mut Instance,
+    store: &mut impl Store,
+    k: usize,
     dep: &Dependency,
     disjunct_idx: usize,
     bindings: &Bindings,
-    nullmap: &mut NullMap,
-    nullgen: &mut NullGenerator,
+    nulls: &mut Nulls,
+    fresh_null: &mut impl FnMut() -> Value,
     stats: &mut ChaseStats,
-) -> Result<bool, ChaseError> {
+) -> Result<(), ChaseError> {
     let disjunct = &dep.disjuncts[disjunct_idx];
 
     // Comparisons over premise variables: if they do not hold for this
@@ -100,23 +214,13 @@ pub(crate) fn apply_disjunct(
         }
     }
 
-    let mut merged = false;
-
-    // Equalities: each one is an obligation routed through the union-find;
+    // Equalities: each one is an obligation routed through the null map;
     // the batched schedulers resolve the instance once per sweep, the
     // full-rescan reference once per merging dependency.
     for (l, r) in &disjunct.eqs {
         let lv = eval_bound_term(l, bindings, dep)?;
         let rv = eval_bound_term(r, bindings, dep)?;
-        stats.obligations_batched += 1;
-        match nullmap.unify(&lv, &rv) {
-            Unify::Noop => {}
-            Unify::Merged => {
-                merged = true;
-                stats.egd_merges += 1;
-            }
-            Unify::Clash(a, b) => return Err(ChaseError::clash(&dep.name, &a, &b)),
-        }
+        nulls.equate(k, dep, &lv, &rv, stats)?;
     }
 
     // Atoms: one fresh null per existential variable, shared across the
@@ -129,26 +233,26 @@ pub(crate) fn apply_disjunct(
                 let v = match t {
                     Term::Const(c) => c.clone(),
                     Term::Var(v) => match bindings.get(v) {
-                        Some(val) => nullmap.resolve(val),
+                        Some(val) => nulls.resolve(val),
                         None => fresh
                             .entry(v.clone())
                             .or_insert_with(|| {
                                 stats.nulls_invented += 1;
-                                nullgen.fresh()
+                                fresh_null()
                             })
                             .clone(),
                     },
                 };
                 row.push(v);
             }
-            if inst.insert(&atom.predicate, row.into())? {
+            if store.insert(&atom.predicate, row.into())? {
                 stats.tuples_inserted += 1;
             }
         }
         stats.tgd_applications += 1;
     }
 
-    Ok(merged)
+    Ok(())
 }
 
 pub(crate) fn eval_bound_term(
@@ -170,14 +274,14 @@ pub(crate) fn eval_bound_term(
 /// source instance (the chase adds target tuples into the same instance;
 /// source and target relation names are disjoint by construction).
 ///
-/// Dispatches on [`ChaseConfig::scheduler`]: the default delta-driven
-/// scheduler ([`crate::scheduler`]) seeds premise evaluation from the
-/// tuples inserted since each dependency was last checked; the parallel
-/// executor ([`crate::parallel`]) runs the same worklist in worker-pool
-/// sweeps over conflict-free dependency groups; the legacy full-rescan
-/// loop re-evaluates every premise against the whole instance each round.
-/// All produce the same solutions (up to the usual renaming of labeled
-/// nulls) and the same failure modes.
+/// Runs the one sweep driver ([`crate::scheduler`]) under
+/// [`ChaseConfig::scheduler`]: the default delta-driven mode seeds premise
+/// evaluation from the tuples inserted since each dependency was last
+/// checked, on the calling thread; the parallel mode runs the same
+/// worklist's conflict groups on a worker pool ([`crate::parallel`]); the
+/// full-rescan reference re-evaluates every premise against the whole
+/// instance each round. All produce the same solutions (up to the usual
+/// renaming of labeled nulls) and the same failure modes.
 pub fn chase_standard(
     start: Instance,
     deps: &[Dependency],
@@ -185,18 +289,15 @@ pub fn chase_standard(
 ) -> Result<ChaseResult, ChaseError> {
     // Wire up the composite join-key indexes the static premise analysis
     // predicts, before the first sweep touches the instance. Relations the
-    // chase has yet to create pick their keys up on first insert.
+    // chase has yet to create pick their keys up on creation.
     let mut start = start;
     crate::trigger::register_join_keys(&mut start, deps);
-    match config.scheduler {
-        crate::config::SchedulerMode::Delta => {
-            crate::scheduler::chase_standard_delta(start, deps, config)
-        }
-        crate::config::SchedulerMode::FullRescan => chase_standard_full_rescan(start, deps, config),
-        crate::config::SchedulerMode::Parallel { threads } => {
-            crate::parallel::chase_standard_parallel(start, deps, config, threads)
-        }
-    }
+    crate::scheduler::run(
+        ResumeState::fresh(start, deps),
+        deps,
+        config,
+        config.scheduler,
+    )
 }
 
 /// Budget-aware entry point: like [`chase_standard`], but a budget or
@@ -210,207 +311,103 @@ pub fn chase_standard_outcome(
     ChaseOutcome::from_run(chase_standard(start, deps, config))
 }
 
-/// The classical round-based chase loop: every round re-evaluates every
+/// The classical round-based chase: every round re-evaluates every
 /// dependency's premise against the entire instance. Kept as the reference
-/// implementation (the delta scheduler must agree with it — see the
-/// `property_delta` suite and the `e7_delta_scaling` bench) and as the
-/// explicit [`SchedulerMode::FullRescan`] escape hatch.
-///
-/// [`SchedulerMode::FullRescan`]: crate::config::SchedulerMode::FullRescan
+/// implementation (the delta and parallel modes must agree with it — see
+/// the `property_delta` suite) and as the explicit
+/// [`SchedulerMode::FullRescan`] escape hatch, whatever `config` says.
 pub fn chase_standard_full_rescan(
     start: Instance,
     deps: &[Dependency],
     config: &ChaseConfig,
 ) -> Result<ChaseResult, ChaseError> {
-    for dep in deps {
-        check_executable(dep, false)?;
-    }
-    chase_full_rescan_loop(ResumeState::fresh(start, deps), deps, config)
+    crate::scheduler::run(
+        ResumeState::fresh(start, deps),
+        deps,
+        config,
+        SchedulerMode::FullRescan,
+    )
 }
 
-/// Continue a checkpointed run on the full-rescan loop. The pending
-/// worklist is ignored — every round rescans every premise anyway, so any
-/// sweep-aligned checkpoint resumes exactly here.
-pub(crate) fn chase_full_rescan_resume(
-    state: ResumeState,
+/// One round of the reference loop: evaluate every premise against the
+/// whole instance, in declaration order, and substitute after each
+/// dependency that merged nulls. The driver owns everything around it —
+/// round limit, budgets, checkpoints and the sweep record.
+pub(crate) fn full_rescan_round(
+    run: &mut RunState,
     deps: &[Dependency],
-    config: &ChaseConfig,
-) -> Result<ChaseResult, ChaseError> {
-    for dep in deps {
-        check_executable(dep, false)?;
-    }
-    chase_full_rescan_loop(state, deps, config)
-}
-
-fn chase_full_rescan_loop(
-    state: ResumeState,
-    deps: &[Dependency],
-    config: &ChaseConfig,
-) -> Result<ChaseResult, ChaseError> {
-    let ResumeState {
-        mut inst,
-        rounds,
-        next_null,
-        mut nullmap,
-        pending: _,
-    } = state;
-    let mut stats = ChaseStats {
-        rounds,
-        ..Default::default()
+    sweep: u64,
+) -> Result<SweepEnd, ChaseError> {
+    let RunState {
+        inst,
+        nullmap,
+        nullgen,
+        stats,
+        rec,
+        ..
+    } = run;
+    let mut end = SweepEnd {
+        progressed: false,
+        observed: None,
     };
-    let mut nullgen = NullGenerator::starting_at(next_null);
-    let names: Vec<String> = deps.iter().map(|d| d.name.to_string()).collect();
-    let mut rec = Recorder::new(&names, "full_rescan", &config.trace);
-    let budget = config.budget.anchored();
-
-    // Checkpoints from this loop schedule every dependency Full: the next
-    // round would have rescanned everything regardless of provenance.
-    let interrupted = |reason: InterruptReason,
-                       inst: Instance,
-                       nullmap: &mut NullMap,
-                       stats: ChaseStats,
-                       rec: Recorder,
-                       next_null: u64|
-     -> Result<ChaseResult, ChaseError> {
-        let checkpoint = Checkpoint::capture(
-            "full_rescan",
-            stats.rounds,
-            next_null,
-            &inst,
-            nullmap,
-            vec![Pending::Full; deps.len()],
-        );
-        Err(ChaseError::Interrupted(Box::new(Interrupted {
-            reason,
-            instance: inst,
-            stats,
-            profile: rec.finish(),
-            checkpoint,
-        })))
-    };
-
-    loop {
-        if stats.rounds >= config.max_rounds {
-            let profile = Box::new(rec.finish());
-            return Err(ChaseError::RoundLimit {
-                rounds: stats.rounds,
-                stats: Box::new(stats),
-                profile,
-            });
-        }
-
-        // Round-start interruption point, before this round is counted.
-        let mut tripped = trip_check(&budget, &config.cancel, &stats);
-        if grom_fail::hit("sweep") {
-            tripped.get_or_insert(InterruptReason::Fault);
-        }
-        if let Some(reason) = tripped {
-            return interrupted(reason, inst, &mut nullmap, stats, rec, nullgen.peek_next());
-        }
-
-        stats.rounds += 1;
-        let sweep = stats.rounds as u64;
-        let mut progressed = false;
-        // Trips observed mid-round are recorded and acted on at the round
-        // boundary — a started round always completes (see the exactness
-        // note in `crate::scheduler`).
-        let mut tripped: Option<InterruptReason> = None;
-
-        for (k, dep) in deps.iter().enumerate() {
-            let t0 = Instant::now();
-            let tuples0 = stats.tuples_inserted;
-            let obligations0 = stats.obligations_batched;
-            if dep.is_denial() {
-                if let Some(v) = grom_engine::find_violation(&inst, dep) {
-                    return Err(ChaseError::Failure {
-                        dependency: dep.name.clone(),
-                        detail: format!("denial premise matched at {}", v.bindings),
-                    });
-                }
-                rec.activation(
-                    sweep,
-                    &ActivationRecord {
-                        dep: k,
-                        kind: ActivationKind::Full,
-                        seeded: 0,
-                        violations: 0,
-                        tuples: 0,
-                        obligations: 0,
-                        dedup_hits: 0,
-                        wall_ns: t0.elapsed().as_nanos() as u64,
-                    },
-                );
-                continue;
+    for (k, dep) in deps.iter().enumerate() {
+        let t0 = Instant::now();
+        let tuples0 = stats.tuples_inserted;
+        let obligations0 = stats.obligations_batched;
+        let violations = if dep.is_denial() {
+            if let Some(v) = grom_engine::find_violation(&*inst, dep) {
+                return Err(ChaseError::Failure {
+                    dependency: dep.name.clone(),
+                    detail: format!("denial premise matched at {}", v.bindings),
+                });
             }
+            Vec::new()
+        } else {
             // `check_executable` guarantees exactly one disjunct here; a
             // trivially-true empty disjunct has no violations by definition.
-            let violations = collect_violations(&inst, dep);
-            let mut any_merge = false;
-            for b in &violations {
-                let b = resolve_bindings(b, &mut nullmap);
-                // Re-check: earlier repairs in this batch (or merges) may
-                // have satisfied this match already. Note the instance may
-                // still contain stale nulls mid-batch; that only makes this
-                // check conservative (it may repair redundantly, and the
-                // final substitution merges the duplicates).
-                if disjunct_satisfied(&inst, &dep.disjuncts[0], &b) {
-                    continue;
-                }
-                let merged = apply_disjunct(
-                    &mut inst,
-                    dep,
-                    0,
-                    &b,
-                    &mut nullmap,
-                    &mut nullgen,
-                    &mut stats,
-                )?;
-                any_merge |= merged;
-                progressed = true;
+            collect_violations(&*inst, dep)
+        };
+        let mut nulls = Nulls::owned(nullmap);
+        for b in &violations {
+            let b = resolve_bindings(b, &mut nulls);
+            // Re-check: earlier repairs in this batch (or merges) may
+            // have satisfied this match already. Note the instance may
+            // still contain stale nulls mid-batch; that only makes this
+            // check conservative (it may repair redundantly, and the
+            // final substitution merges the duplicates).
+            if disjunct_satisfied(&*inst, &dep.disjuncts[0], &b) {
+                continue;
             }
-            rec.activation(
-                sweep,
-                &ActivationRecord {
-                    dep: k,
-                    kind: ActivationKind::Full,
-                    seeded: 0,
-                    violations: violations.len() as u64,
-                    tuples: (stats.tuples_inserted - tuples0) as u64,
-                    obligations: (stats.obligations_batched - obligations0) as u64,
-                    dedup_hits: 0,
-                    wall_ns: t0.elapsed().as_nanos() as u64,
-                },
-            );
-            if any_merge {
-                let ts = Instant::now();
-                let changed = inst.substitute_nulls(|id| nullmap.lookup(id));
-                stats.substitution_passes += 1;
-                rec.substitution(sweep, 0, changed.len(), ts.elapsed().as_nanos() as u64);
-                if grom_fail::hit("subst") {
-                    tripped.get_or_insert(InterruptReason::Fault);
-                }
-            }
-            if tripped.is_none() {
-                tripped = trip_check(&budget, &config.cancel, &stats);
-            }
+            let fresh = &mut || nullgen.fresh();
+            apply_disjunct(inst, k, dep, 0, &b, &mut nulls, fresh, stats)?;
+            end.progressed = true;
         }
-        rec.end_sweep(sweep, None, 0);
-
-        if !progressed {
-            // A reached fixpoint beats an interruption: the result is
-            // final, so there is nothing to resume.
-            break;
-        }
-        if let Some(reason) = tripped {
-            return interrupted(reason, inst, &mut nullmap, stats, rec, nullgen.peek_next());
+        let merged = nulls.take_merged();
+        rec.activation(
+            sweep,
+            &ActivationRecord {
+                dep: k,
+                kind: ActivationKind::Full,
+                seeded: 0,
+                violations: violations.len() as u64,
+                tuples: (stats.tuples_inserted - tuples0) as u64,
+                obligations: (stats.obligations_batched - obligations0) as u64,
+                dedup_hits: 0,
+                wall_ns: t0.elapsed().as_nanos() as u64,
+            },
+        );
+        if merged {
+            let ts = Instant::now();
+            let changed = inst.substitute_nulls(|id| nullmap.lookup(id));
+            stats.substitution_passes += 1;
+            rec.substitution(sweep, 0, changed.len(), ts.elapsed().as_nanos() as u64);
+            if grom_fail::hit("subst") {
+                end.observed.get_or_insert(InterruptReason::Fault);
+            }
         }
     }
-
-    Ok(ChaseResult {
-        instance: inst,
-        stats,
-        profile: rec.finish(),
-    })
+    rec.end_sweep(sweep, None, 0);
+    Ok(end)
 }
 
 /// Convenience for tests: do all `deps` hold in `inst`?

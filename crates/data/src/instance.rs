@@ -27,7 +27,7 @@
 //! scenario loader in `grom` (the core crate), which knows which schema an
 //! instance is supposed to populate.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -202,9 +202,9 @@ impl Relation {
     }
 
     /// Insert a tuple. Returns `Ok(true)` if it was new, `Ok(false)` if it
-    /// was already present, and an arity error if it does not match the
-    /// relation's fixed width.
-    fn insert(&mut self, relation: &Arc<str>, tuple: Tuple) -> Result<bool, DataError> {
+    /// was already present, and an arity error (naming `relation`) if it
+    /// does not match the relation's fixed width.
+    pub fn insert(&mut self, relation: &Arc<str>, tuple: Tuple) -> Result<bool, DataError> {
         match self.arity {
             None => {
                 let a = tuple.arity();
@@ -445,7 +445,7 @@ impl Relation {
     /// Rows (ascending slot order) whose tuple mentions a null mapped by
     /// `map`. Probes the null buckets of the column indexes when the map is
     /// small relative to the relation; falls back to a row sweep otherwise.
-    fn affected_rows(&self, map: &HashMap<NullId, Value>) -> Vec<u32> {
+    fn affected_rows(&self, map: &FxHashMap<NullId, Value>) -> Vec<u32> {
         let Some(arity) = self.arity else {
             return Vec::new();
         };
@@ -482,7 +482,7 @@ impl Relation {
     /// Rewrite the null-bearing rows addressed by `map` in place, leaving
     /// tombstones where rewritten tuples merged into existing ones.
     /// Returns whether anything changed.
-    fn substitute_with(&mut self, map: &HashMap<NullId, Value>) -> bool {
+    fn substitute_with(&mut self, map: &FxHashMap<NullId, Value>) -> bool {
         let affected = self.affected_rows(map);
         if affected.is_empty() {
             return false;
@@ -577,14 +577,14 @@ impl DeltaLog {
         self.tuples.iter().map(|(name, ts)| (name, ts.as_slice()))
     }
 
-    fn record(&mut self, relation: &Arc<str>, tuple: Tuple) {
+    /// Append one inserted tuple to `relation`'s list.
+    pub fn record(&mut self, relation: &Arc<str>, tuple: Tuple) {
         self.tuples.entry(relation.clone()).or_default().push(tuple);
     }
 
     /// Append all of `other`'s tuples to this log, preserving per-relation
     /// order. Invalidation is sticky: absorbing an invalidated log marks
-    /// this one invalidated too. The parallel chase executor uses this to
-    /// fold one worker's per-dependency logs into its sweep output.
+    /// this one invalidated too.
     pub fn absorb(&mut self, other: &DeltaLog) {
         for (rel, tuples) in other.relations() {
             self.tuples
@@ -649,23 +649,38 @@ impl Instance {
         &self.store[id.0 as usize].0
     }
 
+    /// The id of `relation`, creating it empty (with the key registrations
+    /// pending for its name) if it is absent.
+    pub fn ensure_relation(&mut self, relation: &Arc<str>) -> RelId {
+        if let Some(&id) = self.names.get(relation.as_ref()) {
+            return id;
+        }
+        let id = RelId(self.store.len() as u32);
+        self.names.insert(relation.clone(), id);
+        let mut rel = Relation::new();
+        if let Some(specs) = self.pending_keys.remove(relation.as_ref()) {
+            for cols in specs {
+                rel.register_key(&cols);
+            }
+        }
+        self.store.push((relation.clone(), rel));
+        id
+    }
+
+    /// Split-borrow the instance: the read-only name → id index beside
+    /// exclusive access to every relation, in [`RelId`] order.
+    pub fn relations_mut(
+        &mut self,
+    ) -> (
+        &BTreeMap<Arc<str>, RelId>,
+        impl Iterator<Item = &mut Relation>,
+    ) {
+        (&self.names, self.store.iter_mut().map(|(_, r)| r))
+    }
+
     /// Insert a tuple into `relation`; returns whether it was new.
     pub fn insert(&mut self, relation: &Arc<str>, tuple: Tuple) -> Result<bool, DataError> {
-        let id = match self.names.get(relation.as_ref()) {
-            Some(&id) => id,
-            None => {
-                let id = RelId(self.store.len() as u32);
-                self.names.insert(relation.clone(), id);
-                let mut rel = Relation::new();
-                if let Some(specs) = self.pending_keys.remove(relation.as_ref()) {
-                    for cols in specs {
-                        rel.register_key(&cols);
-                    }
-                }
-                self.store.push((relation.clone(), rel));
-                id
-            }
-        };
+        let id = self.ensure_relation(relation);
         let rel = &mut self.store[id.0 as usize].1;
         let Some(delta) = &mut self.delta else {
             return rel.insert(relation, tuple);
@@ -797,26 +812,6 @@ impl Instance {
         Ok(out)
     }
 
-    /// Insert every tuple of a [`DeltaLog`] into this instance, in the
-    /// log's deterministic order (relations sorted by name, tuples in
-    /// insertion order). Returns the number of tuples that were new.
-    ///
-    /// This is the sweep-barrier merge of the parallel chase executor:
-    /// workers buffer insertions against an immutable snapshot, and the
-    /// coordinator folds the buffers back in job order so the merged
-    /// instance is identical across runs regardless of thread scheduling.
-    pub fn absorb_delta(&mut self, delta: &DeltaLog) -> Result<usize, DataError> {
-        let mut added = 0;
-        for (rel, tuples) in delta.relations() {
-            for t in tuples {
-                if self.insert(rel, t.clone())? {
-                    added += 1;
-                }
-            }
-        }
-        Ok(added)
-    }
-
     /// The largest null label occurring anywhere, if any. Chase runs over an
     /// instance that already contains nulls start their generator above it.
     pub fn max_null_label(&self) -> Option<u64> {
@@ -884,7 +879,7 @@ impl Instance {
     /// names of the relations that changed; any active delta log is marked
     /// invalidated when a relation changes, exactly like
     /// [`Instance::substitute_nulls`].
-    pub fn substitute_nulls_batch(&mut self, map: &HashMap<NullId, Value>) -> Vec<Arc<str>> {
+    pub fn substitute_nulls_batch(&mut self, map: &FxHashMap<NullId, Value>) -> Vec<Arc<str>> {
         if map.is_empty() {
             return Vec::new();
         }
@@ -921,7 +916,7 @@ impl Instance {
     ) -> Vec<Arc<str>> {
         // Resolve the closure into a flat map over the labels that actually
         // occur, memoizing so each label is looked up once.
-        let mut map: HashMap<NullId, Value> = HashMap::new();
+        let mut map: FxHashMap<NullId, Value> = FxHashMap::default();
         let mut misses: std::collections::HashSet<NullId> = Default::default();
         for (_, rel) in &self.store {
             for t in rel.iter() {
@@ -1163,7 +1158,7 @@ mod tests {
         for i in 0..100 {
             inst.add("R", vec![Value::null(i), v(-2)]).unwrap();
         }
-        let map: HashMap<NullId, Value> =
+        let map: FxHashMap<NullId, Value> =
             (0..100).map(|i| (NullId(i), v(i as i64 + 1000))).collect();
         let changed = inst.substitute_nulls_batch(&map);
         assert_eq!(changed.len(), 1);
@@ -1182,7 +1177,7 @@ mod tests {
                     .add("S", vec![Value::null(round * 50 + i), v(i as i64)])
                     .unwrap();
             }
-            let map: HashMap<NullId, Value> =
+            let map: FxHashMap<NullId, Value> =
                 (0..50u64).map(|i| (NullId(round * 50 + i), v(7))).collect();
             inst2.substitute_nulls_batch(&map);
             // All 50 rows collapse to (7, i) per distinct second column.
@@ -1200,14 +1195,16 @@ mod tests {
         inst.add("R", vec![Value::null(0), Value::null(2)]).unwrap();
         inst.add("S", vec![Value::null(1)]).unwrap();
         // A flat (pre-resolved) multi-mapping: N0 and N1 in one pass.
-        let map: HashMap<NullId, Value> =
+        let map: FxHashMap<NullId, Value> =
             [(NullId(0), v(7)), (NullId(1), v(8))].into_iter().collect();
         let changed = inst.substitute_nulls_batch(&map);
         assert_eq!(changed.len(), 2);
         assert!(inst.contains_fact("R", &Tuple::new(vec![v(7), Value::null(2)])));
         assert!(inst.contains_fact("S", &Tuple::new(vec![v(8)])));
         // An empty map is a no-op and reports no changes.
-        assert!(inst.substitute_nulls_batch(&HashMap::new()).is_empty());
+        assert!(inst
+            .substitute_nulls_batch(&FxHashMap::default())
+            .is_empty());
     }
 
     #[test]
@@ -1301,23 +1298,6 @@ mod tests {
         let changed = inst.substitute_nulls(|_| None);
         assert!(changed.is_empty());
         assert!(!inst.take_delta().invalidated());
-    }
-
-    #[test]
-    fn absorb_delta_replays_log_and_counts_new() {
-        let mut src = Instance::new();
-        src.begin_delta_tracking();
-        src.add("R", vec![v(1)]).unwrap();
-        src.add("S", vec![v(2)]).unwrap();
-        let log = src.take_delta();
-
-        let mut dst = Instance::new();
-        dst.add("R", vec![v(1)]).unwrap(); // already present: not counted
-        dst.begin_delta_tracking();
-        assert_eq!(dst.absorb_delta(&log).unwrap(), 1);
-        assert!(dst.contains_fact("S", &Tuple::new(vec![v(2)])));
-        // The merge is itself tracked, so it can be re-routed downstream.
-        assert_eq!(dst.take_delta().len(), 1);
     }
 
     #[test]

@@ -3,11 +3,9 @@
 //! `any_match`, `estimate`) must agree with the naive linear scan — and
 //! keep agreeing after surgical null substitution rewrites rows in place.
 
-use std::collections::HashMap;
-
 use proptest::prelude::*;
 
-use grom_data::{Instance, NullId, Relation, Tuple, Value};
+use grom_data::{FxHashMap, Instance, NullId, Relation, Tuple, Value};
 
 /// A small value domain so patterns actually hit: ints 0..4, two strings,
 /// and labeled nulls 0..3.
@@ -120,7 +118,7 @@ proptest! {
         // Merge null 0 into either a constant or another null; repeat so
         // compaction paths get exercised on larger inputs.
         for round in 0..3u64 {
-            let mut map = HashMap::new();
+            let mut map = FxHashMap::default();
             let target = if null_to_int {
                 Value::int(round as i64)
             } else {

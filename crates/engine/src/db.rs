@@ -1,16 +1,16 @@
 //! The database abstraction the engine evaluates over.
 //!
 //! Source-to-target dependencies read two instances at once (the source
-//! `I_S` and the growing target `J_T`); views read one; the parallel chase
-//! executor reads an immutable snapshot *overlaid* with a worker's private
-//! insertion buffer. [`Db`] abstracts over all of them so the same join
-//! code serves every caller.
+//! `I_S` and the growing target `J_T`); views read one; a parallel chase
+//! worker reads the relations its conflict group owns beside the ones no
+//! group writes. [`Db`] abstracts over all of them so the same join code
+//! serves every caller.
 //!
 //! The trait deliberately exposes *query* primitives (scan / estimate /
 //! existence) rather than handing out `&Relation`: a composite database —
-//! [`PairDb`], or the shard views of `grom-exec` — has no single relation
-//! object to return for a name stored on both sides, but it can always
-//! answer a pattern query by combining its parts.
+//! [`PairDb`], or the ownership views of `grom-exec` — may have no single
+//! relation object to return for a name, but it can always answer a
+//! pattern query by combining its parts.
 //!
 //! ## Resolved tokens and streaming scans
 //!
@@ -155,13 +155,15 @@ pub trait Db {
     }
 }
 
-/// Translate an engine-level version into a slot [`Span`] for a single
-/// [`grom_data::Relation`], whose cursors are slot indexes.
-fn span_of(ver: Ver) -> Span {
-    match ver {
-        Ver::All => Span::All,
-        Ver::Old(c) => Span::Below(c as u32),
-        Ver::New(c) => Span::AtLeast(c as u32),
+impl Ver {
+    /// The slot [`Span`] of this version on a single
+    /// [`grom_data::Relation`], whose cursors are slot indexes.
+    pub fn span(self) -> Span {
+        match self {
+            Ver::All => Span::All,
+            Ver::Old(c) => Span::Below(c as u32),
+            Ver::New(c) => Span::AtLeast(c as u32),
+        }
     }
 }
 
@@ -178,16 +180,19 @@ impl Db for Instance {
         visit: &mut dyn FnMut(&'a Tuple) -> Control,
     ) {
         self.relation_by_id(RelId(rel.0 as u32))
-            .scan_each_v(pattern, span_of(ver), &mut |t| visit(t) == Control::Continue);
+            .scan_each_v(pattern, ver.span(), &mut |t| visit(t) == Control::Continue);
     }
 
     fn estimate_rel_v(&self, rel: DbRel, pattern: &[Option<Value>], ver: Ver) -> usize {
         self.relation_by_id(RelId(rel.0 as u32))
-            .estimate_v(pattern, span_of(ver))
+            .estimate_v(pattern, ver.span())
     }
 
     fn cursor_before_last_rel(&self, rel: DbRel, n: usize) -> u64 {
-        u64::from(self.relation_by_id(RelId(rel.0 as u32)).cursor_before_last(n))
+        u64::from(
+            self.relation_by_id(RelId(rel.0 as u32))
+                .cursor_before_last(n),
+        )
     }
 
     fn any_match_rel(&self, rel: DbRel, pattern: &[Option<Value>]) -> bool {
@@ -249,12 +254,12 @@ impl Db for PairDb<'_> {
     ) {
         let (side, id) = self.decode(rel);
         side.relation_by_id(id)
-            .scan_each_v(pattern, span_of(ver), &mut |t| visit(t) == Control::Continue);
+            .scan_each_v(pattern, ver.span(), &mut |t| visit(t) == Control::Continue);
     }
 
     fn estimate_rel_v(&self, rel: DbRel, pattern: &[Option<Value>], ver: Ver) -> usize {
         let (side, id) = self.decode(rel);
-        side.relation_by_id(id).estimate_v(pattern, span_of(ver))
+        side.relation_by_id(id).estimate_v(pattern, ver.span())
     }
 
     fn cursor_before_last_rel(&self, rel: DbRel, n: usize) -> u64 {

@@ -83,8 +83,11 @@ pub fn embed_atoms(db: &impl Db, atoms: &[grom_lang::Atom], seed: &Bindings) -> 
     let mut pattern: Vec<Option<grom_data::Value>> = Vec::new();
     let mut open: Vec<(&grom_lang::Atom, DbRel)> = Vec::new();
     for atom in atoms {
-        let Some(rel) = db.resolve(&atom.predicate) else {
-            return false; // absent relation: nothing embeds
+        // An absent or empty relation embeds nothing; deciding that before
+        // any pattern is built keeps checks against relations the chase
+        // has yet to fill allocation-free.
+        let Some(rel) = db.resolve(&atom.predicate).filter(|&r| db.len_rel(r) > 0) else {
+            return false;
         };
         seed.atom_pattern_into(atom, &mut pattern);
         if pattern.iter().all(Option::is_some) {

@@ -1,45 +1,23 @@
 //! # grom-exec — the parallel execution substrate of GROM
 //!
-//! The chase engine of `grom-chase` spends its time evaluating dependency
-//! premises and buffering repairs. Delta activations of dependencies with
-//! *disjoint trigger sets* never touch the same relations, so they can run
-//! on worker threads — provided every worker reads a consistent snapshot
-//! and writes somewhere private. This crate supplies that machinery; the
-//! scheduling *policy* (which dependencies form a conflict-free group, when
-//! a sweep starts and ends) stays in `grom-chase`.
+//! The chase of `grom-chase` partitions its dependencies into conflict
+//! groups: every relation has at most one writer group, and every reader
+//! of a written relation is in that group. Groups therefore never interact
+//! within a sweep and can run on worker threads. This crate supplies the
+//! machinery; the scheduling *policy* stays in `grom-chase`.
 //!
-//! ## The snapshot / buffer lifecycle
+//! * [`OwnedView`] — one group's split borrow of the instance: `&mut` of
+//!   the relations the group writes, `&` of the relations no group writes.
+//!   It and the instance itself are the two [`Store`]s a chase job writes.
+//! * [`WorkerPool`] — a scoped pool that returns results in job order.
 //!
-//! 1. **Snapshot** — the coordinator freezes the master [`Instance`] for
-//!    the duration of one sweep segment; workers only hold `&Instance`.
-//! 2. **Shard** — each worker wraps the snapshot in a [`ShardView`]: reads
-//!    see the union of the snapshot and the worker's private insertion
-//!    buffer; writes go to the buffer only, deduplicated against both.
-//!    Equality repairs never write at all — they record obligations into
-//!    the view's obligation buffer for the coordinator. Fresh labeled
-//!    nulls come from disjoint per-worker strided ranges
-//!    ([`grom_data::StridedNullGenerator`]), so workers never race on
-//!    labels.
-//! 3. **Merge** — at the sweep barrier the coordinator folds each worker's
-//!    buffered [`DeltaLog`] back into the master instance *in job order*
-//!    ([`grom_data::Instance::absorb_delta`]) and unifies the merged
-//!    obligation buffers deterministically before the sweep's single null
-//!    substitution.
-//!
-//! ## Determinism guarantee
-//!
-//! Job inputs, null ranges and the merge order are all functions of the
-//! job *index*, never of thread scheduling: [`WorkerPool::run`] returns
-//! results positionally, and groups only ever write relations no other
-//! group touches. Two runs of the same sweep therefore produce identical
-//! instances; relative to single-threaded execution the result is
-//! identical up to the renaming of freshly invented nulls.
-//!
-//! [`DeltaLog`]: grom_data::DeltaLog
-//! [`Instance`]: grom_data::Instance
+//! Job inputs, fresh-null ranges and the order the barrier folds results
+//! in are functions of the job *index*, never of thread scheduling, and
+//! each relation is written by one job only, so two runs of the same sweep
+//! produce identical instances.
 
 pub mod pool;
-pub mod shard;
+pub mod view;
 
 pub use pool::WorkerPool;
-pub use shard::ShardView;
+pub use view::{OwnedView, Store};

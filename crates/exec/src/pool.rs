@@ -13,9 +13,9 @@ use std::sync::Mutex;
 /// A fixed-width pool of scoped workers.
 ///
 /// The pool holds no threads between [`WorkerPool::run`] calls: workers are
-/// scoped to one batch (so jobs may borrow from the caller's stack, e.g. an
-/// instance snapshot) and joined before `run` returns — the barrier the
-/// chase sweep needs anyway.
+/// scoped to one batch (so jobs may borrow from the caller's stack, e.g.
+/// split borrows of an instance) and joined before `run` returns — the
+/// barrier the chase sweep needs anyway.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkerPool {
     threads: usize,

@@ -18,8 +18,12 @@
 //! ```
 //!
 //! `@n` makes the directive fire on the n-th *hit* of its point (1-based,
-//! counted per point across the process); omitted means the first hit.
-//! Each directive fires at most once. Examples:
+//! counted per point); omitted means the first hit. Each directive fires
+//! at most once. A plan read from `GROM_FAIL` counts every hit in the
+//! process; a plan installed with [`install`] counts only the hits made on
+//! behalf of the installing thread — its own, and those of pool jobs it
+//! dispatched through a [`Scope`] — so concurrent tests cannot consume each
+//! other's faults. Examples:
 //!
 //! ```text
 //! GROM_FAIL=worker:panic          # panic the first worker job
@@ -29,6 +33,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
+use std::thread::{self, ThreadId};
 
 /// What an armed directive does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,6 +60,9 @@ struct FailPlan {
     directives: Vec<Directive>,
     /// Per-point hit counters, keyed by point name.
     hits: Vec<(String, u64)>,
+    /// The thread whose hits count: the installer of a programmatic plan,
+    /// `None` (every thread) for a plan read from the environment.
+    owner: Option<ThreadId>,
 }
 
 /// Fast path: `false` until a plan is installed, then stays `true` until
@@ -131,7 +139,8 @@ fn ensure_env_plan() {
 /// plan, including one read from the environment.
 pub fn install(spec: &str) -> Result<(), String> {
     ENV_READ.store(true, Ordering::SeqCst);
-    let plan = parse_plan(spec)?;
+    let mut plan = parse_plan(spec)?;
+    plan.owner = Some(thread::current().id());
     let armed = !plan.directives.is_empty();
     *PLAN.lock().unwrap() = Some(plan);
     ARMED.store(armed, Ordering::SeqCst);
@@ -145,10 +154,32 @@ pub fn clear() {
     ARMED.store(false, Ordering::SeqCst);
 }
 
+/// The thread a hit is made on behalf of. A coordinator captures its scope
+/// with [`scope`] and hands it to the pool jobs it dispatches, so their
+/// hits count against the coordinator's installed plan.
+#[derive(Debug, Clone, Copy)]
+pub struct Scope(ThreadId);
+
+/// The calling thread's scope.
+pub fn scope() -> Scope {
+    Scope(thread::current().id())
+}
+
+impl Scope {
+    /// [`hit`] on behalf of this scope's thread.
+    pub fn hit(self, point: &str) -> bool {
+        act(point, fire_as(point, self.0))
+    }
+}
+
 /// Record one hit of `point` and return the action of a directive that
 /// fires on this hit, if any. No-op (one relaxed load) unless a plan is
 /// armed.
 pub fn fire(point: &str) -> Option<FailAction> {
+    fire_as(point, thread::current().id())
+}
+
+fn fire_as(point: &str, thread: ThreadId) -> Option<FailAction> {
     if !ARMED.load(Ordering::Relaxed) {
         // Lazily pick up GROM_FAIL on the very first hit of any point.
         if ENV_READ.load(Ordering::Relaxed) {
@@ -161,6 +192,9 @@ pub fn fire(point: &str) -> Option<FailAction> {
     }
     let mut guard = PLAN.lock().unwrap();
     let plan = guard.as_mut()?;
+    if plan.owner.is_some_and(|owner| owner != thread) {
+        return None;
+    }
     let hit = match plan.hits.iter_mut().find(|(p, _)| p == point) {
         Some((_, n)) => {
             *n += 1;
@@ -183,7 +217,11 @@ pub fn fire(point: &str) -> Option<FailAction> {
 /// Fire `point` and panic if an armed directive says so; otherwise return
 /// `true` when the point should report a forced interruption.
 pub fn hit(point: &str) -> bool {
-    match fire(point) {
+    act(point, fire(point))
+}
+
+fn act(point: &str, action: Option<FailAction>) -> bool {
+    match action {
         Some(FailAction::Panic) => panic!("grom_fail: injected panic at `{point}`"),
         Some(FailAction::Interrupt) => true,
         None => false,
@@ -244,6 +282,18 @@ mod tests {
         assert!(install("sweep:explode").is_err());
         assert!(install("sweep:panic@0").is_err());
         assert!(install("sweep").is_err());
+        clear();
+    }
+
+    #[test]
+    fn installed_plans_count_only_their_own_scope() {
+        let _g = TEST_LOCK.lock().unwrap();
+        install("worker:interrupt").unwrap();
+        // Another thread's hit neither fires nor counts...
+        assert!(!thread::spawn(|| hit("worker")).join().unwrap());
+        // ...unless it is made on behalf of the installer.
+        let here = scope();
+        assert!(thread::spawn(move || here.hit("worker")).join().unwrap());
         clear();
     }
 

@@ -14,7 +14,7 @@
 //!   utilization in parallel mode) for a couple of `Instant` reads per
 //!   activation, and emits one JSONL event per activation / sweep / merge
 //!   when a sink is attached. [`WorkerRecorder`] is its `Send` half for
-//!   pool workers, merged deterministically at the sweep barrier.
+//!   chase jobs, merged deterministically at the sweep barrier.
 //! * [`report`] — the dominance-report renderer behind `grom explain`:
 //!   top-N dependencies by time, per-group parallel utilization, delta-hit
 //!   rates, substitution-pass accounting, and a rewrite hint when one

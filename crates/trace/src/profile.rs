@@ -40,8 +40,8 @@ pub struct DepProfile {
     pub tuples_produced: u64,
     /// Equality obligations this dependency recorded.
     pub obligations: u64,
-    /// Insert attempts rejected as duplicates (parallel mode: the shard
-    /// view's two-layer dedup; always 0 in sequential modes).
+    /// Insert attempts rejected as duplicates (parallel mode: counted by
+    /// the group's ownership view; always 0 in sequential modes).
     pub dedup_hits: u64,
     /// Wall time spent in this dependency's activations.
     pub wall_ns: u64,

@@ -4,10 +4,10 @@
 //!
 //! Profiling is always on — the cost is a couple of `Instant` reads per
 //! activation plus counter adds; event *assembly* only happens when
-//! [`TraceHandle::is_active`] holds. In parallel mode each worker fills a
-//! [`WorkerRecorder`] (a plain `Send` buffer of [`ActivationRecord`]s) and
-//! the coordinator folds them in deterministic job order at the sweep
-//! barrier via [`Recorder::merge_worker`].
+//! [`TraceHandle::is_active`] holds. Each chase job fills a
+//! [`WorkerRecorder`] (a plain `Send` buffer of activation and substitution
+//! records) and the driver folds them in deterministic job order at the
+//! sweep barrier via [`Recorder::merge_worker`].
 
 use std::time::Instant;
 
@@ -38,17 +38,27 @@ pub struct ActivationRecord {
     pub tuples: u64,
     /// Equality obligations recorded.
     pub obligations: u64,
-    /// Duplicate-insert rejections (parallel shard views only).
+    /// Duplicate-insert rejections (parallel ownership views only).
     pub dedup_hits: u64,
     /// Wall time of the activation.
     pub wall_ns: u64,
 }
 
-/// A worker-local, `Send` buffer of activation records; the pool half of
-/// the recorder. Merged at the barrier in deterministic job order.
+/// One event a job observed, buffered until the sweep barrier.
+#[derive(Debug, Clone, Copy)]
+enum JobEvent {
+    Activation(ActivationRecord),
+    /// A null-substitution pass: `(resolved, changed, wall_ns)`, as in
+    /// [`Recorder::substitution`].
+    Substitution(usize, usize, u64),
+}
+
+/// A job-local, `Send` buffer of activation and substitution records; the
+/// pool half of the recorder. Replayed at the barrier in deterministic job
+/// order, each job's events in observation order.
 #[derive(Debug, Default)]
 pub struct WorkerRecorder {
-    records: Vec<ActivationRecord>,
+    events: Vec<JobEvent>,
 }
 
 impl WorkerRecorder {
@@ -58,12 +68,14 @@ impl WorkerRecorder {
 
     /// Buffer one activation.
     pub fn record(&mut self, rec: ActivationRecord) {
-        self.records.push(rec);
+        self.events.push(JobEvent::Activation(rec));
     }
 
-    /// The buffered records, in observation order.
-    pub fn records(&self) -> &[ActivationRecord] {
-        &self.records
+    /// Buffer one null-substitution pass (a job that owns the whole
+    /// instance flushes its pending merges mid-sweep).
+    pub fn substitution(&mut self, resolved: usize, changed: usize, wall_ns: u64) {
+        self.events
+            .push(JobEvent::Substitution(resolved, changed, wall_ns));
     }
 }
 
@@ -237,12 +249,17 @@ impl Recorder {
         slot.busy_ns += busy_ns;
     }
 
-    /// Fold one worker's buffered activations into the profile (and the
-    /// event stream), in the worker's observation order. Call in
-    /// deterministic job order at the barrier.
+    /// Fold one job's buffered events into the profile (and the event
+    /// stream), in the job's observation order. Call in deterministic job
+    /// order at the barrier.
     pub fn merge_worker(&mut self, sweep: u64, worker: WorkerRecorder) {
-        for rec in &worker.records {
-            self.activation(sweep, rec);
+        for event in &worker.events {
+            match *event {
+                JobEvent::Activation(rec) => self.activation(sweep, &rec),
+                JobEvent::Substitution(resolved, changed, wall_ns) => {
+                    self.substitution(sweep, resolved, changed, wall_ns)
+                }
+            }
         }
     }
 
@@ -360,6 +377,7 @@ mod tests {
         w0.record(act(1, ActivationKind::Full, 0, 0));
         let mut w1 = WorkerRecorder::new();
         w1.record(act(2, ActivationKind::Delta, 2, 2));
+        w1.substitution(3, 1, 2_000);
         rec.group_job(0, 5_000);
         rec.merge_worker(1, w0);
         rec.group_job(1, 3_000);
@@ -374,6 +392,8 @@ mod tests {
         assert_eq!(p.groups[0].busy_ns, 5_000);
         assert_eq!(p.evaluate_ns, 6_000);
         assert_eq!(p.merge_ns, 1_000);
+        assert_eq!(p.substitution_passes, 1);
+        assert_eq!(p.substitute_ns, 2_000);
     }
 
     #[test]
