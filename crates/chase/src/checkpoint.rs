@@ -2,12 +2,18 @@
 //!
 //! Every chase loop interrupts only at a sweep (or round) boundary: the
 //! sweep's equality obligations have been substituted into the instance,
-//! the delta logs have been routed into the scheduler worklist, and the
-//! null generator cursor is past every allocated label. A [`Checkpoint`]
-//! captures exactly that state — instance, per-dependency pending work,
-//! flattened `NullMap`, null cursor, and the round count — and
-//! [`chase_resume`] continues from it to a final instance that is
+//! every job has handed its routed deltas back to the scheduler worklist,
+//! and the null generator cursor is past every allocated label. A
+//! [`Checkpoint`] captures exactly that state — instance, per-dependency
+//! pending work, flattened `NullMap`, null cursor, and the round count —
+//! and [`chase_resume`] continues from it to a final instance that is
 //! `canonical_render`-identical to an uninterrupted run.
+//!
+//! A pending delta is a slot cursor per relation, and slots do not survive
+//! a rebuild of the instance (un-interning it, or reading it back from
+//! text, renumbers them). A checkpoint therefore keeps, per relation, the
+//! count of trailing live rows past the cursor, and turns it back into a
+//! cursor on restore ([`grom_data::Relation::cursor_before_last`]).
 //!
 //! Checkpoints serialize through the hand-rolled JSON layer of
 //! `grom-trace`; instances and delta tuples ride inside JSON strings in
@@ -17,7 +23,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use grom_data::{read_instance, write_instance, Instance, NullId, Tuple, Value};
+use grom_data::{read_instance, write_instance, Instance, NullId, Relation, Tuple, Value};
 use grom_lang::Dependency;
 use grom_trace::json::{self, JsonValue};
 
@@ -37,7 +43,7 @@ const NULLMAP_REL: &str = "__nullmap";
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Scheduler mode of the interrupted run ("delta", "full_rescan",
-    /// "parallel<n>"). Informational: resume follows the *config*'s mode,
+    /// "`parallel<n>`"). Informational: resume follows the *config*'s mode,
     /// and the pending worklist is valid under any of them.
     mode: String,
     /// Rounds completed before the interruption; resume continues the
@@ -49,8 +55,9 @@ pub struct Checkpoint {
     instance: Instance,
     /// Flattened equality obligations, sorted by label: `label -> value`.
     nullmap: Vec<(u64, Value)>,
-    /// Per-dependency pending work, index-aligned with the dependency set.
-    pending: Vec<Pending>,
+    /// Per-dependency pending work, index-aligned with the dependency set;
+    /// each delta as the count of its relation's trailing live rows.
+    pending: Vec<Pending<usize>>,
 }
 
 impl Checkpoint {
@@ -68,6 +75,10 @@ impl Checkpoint {
             .map(|(NullId(label), v)| (label, v))
             .collect();
         flat.sort_by_key(|(label, _)| *label);
+        let pending = pending
+            .iter()
+            .map(|p| p.map_marks(|rel, &c| instance.relation(rel).map_or(0, |r| r.len_from(c))))
+            .collect();
         Checkpoint {
             mode: mode.to_string(),
             rounds,
@@ -91,20 +102,12 @@ impl Checkpoint {
     }
 
     /// Map interned symbols back to plain strings everywhere a value can
-    /// hide: the instance, the null map and the pending delta tuples.
+    /// hide: the instance and the null map. The pending deltas are row
+    /// counts, which the rebuild keeps.
     pub(crate) fn unintern(&mut self) {
         self.instance = self.instance.unintern_strings();
         for (_, v) in &mut self.nullmap {
             *v = v.unintern();
-        }
-        for p in &mut self.pending {
-            if let Pending::Delta(map) = p {
-                for tuples in map.values_mut() {
-                    for t in tuples.iter_mut() {
-                        *t = Tuple::new(t.values().iter().map(Value::unintern).collect());
-                    }
-                }
-            }
         }
     }
 
@@ -129,12 +132,20 @@ impl Checkpoint {
             // label of their class, so orientation is preserved.
             let _ = nullmap.unify(&Value::Null(NullId(*label)), v);
         }
+        let inst = self.instance.clone();
+        let pending = self
+            .pending
+            .iter()
+            .map(|p| {
+                p.map_marks(|rel, &n| inst.relation(rel).map_or(0, |r| r.cursor_before_last(n)))
+            })
+            .collect();
         Ok(ResumeState {
-            inst: self.instance.clone(),
+            inst,
             rounds: self.rounds,
             next_null: self.next_null,
             nullmap,
-            pending: self.pending.clone(),
+            pending,
         })
     }
 
@@ -168,15 +179,15 @@ impl Checkpoint {
             match p {
                 Pending::Idle => out.push_str("{\"kind\":\"idle\"}"),
                 Pending::Full => out.push_str("{\"kind\":\"full\"}"),
-                Pending::Delta(map) => {
+                Pending::Delta(counts) => {
                     // v2 records the old/new partition of each delta entry
-                    // alongside the tuples. Every pending tuple is *new*
-                    // (unclaimed work awaiting its semi-naive anchor scan),
-                    // so the partition is the per-relation count of the
-                    // serialized lists — written explicitly so a reader can
-                    // validate the claim-time cursor arithmetic against the
+                    // alongside its tuples, the relation's trailing rows.
+                    // Every pending tuple is *new* (unclaimed work awaiting
+                    // its semi-naive anchor scan), so the partition is the
+                    // per-relation count of the serialized lists — written
+                    // explicitly so a reader can validate it against the
                     // checkpoint instead of trusting it.
-                    let di = delta_to_instance(map);
+                    let di = delta_to_instance(&self.instance, counts);
                     let _ = write!(
                         out,
                         "{{\"kind\":\"delta\",\"tuples\":\"{}\",\"new\":{{",
@@ -186,12 +197,7 @@ impl Checkpoint {
                         if j > 0 {
                             out.push(',');
                         }
-                        let _ = write!(
-                            out,
-                            "\"{}\":{}",
-                            json::escape(rel),
-                            di.tuples(rel).count()
-                        );
+                        let _ = write!(out, "\"{}\":{}", json::escape(rel), di.tuples(rel).count());
                     }
                     out.push_str("}}");
                 }
@@ -256,13 +262,13 @@ impl Checkpoint {
                         .and_then(JsonValue::as_str)
                         .ok_or("delta pending entry has no tuples")?;
                     let di = read_instance(text).map_err(|e| format!("checkpoint delta: {e}"))?;
-                    let map = instance_to_delta(&di);
+                    let map = instance_to_delta(&instance, &di)?;
                     // v2 checkpoints record the partition; validate it
                     // against the parsed lists so a truncated or edited
                     // tuple block cannot silently shift the old/new split.
                     if let Some(JsonValue::Obj(counts)) = item.get("new") {
                         for (rel, count) in counts {
-                            let have = map.get(rel.as_str()).map_or(0, Vec::len) as u64;
+                            let have = map.get(rel.as_str()).copied().unwrap_or(0) as u64;
                             if count.as_u64() != Some(have) {
                                 return Err(format!(
                                     "delta partition mismatch for `{rel}`: \
@@ -334,29 +340,38 @@ fn instance_to_nullmap(inst: &Instance) -> Result<Vec<(u64, Value)>, String> {
     Ok(out)
 }
 
-fn delta_to_instance(map: &BTreeMap<Arc<str>, Vec<Tuple>>) -> Instance {
+/// The last `n` live rows of `rel` in `inst`, oldest first.
+fn trailing<'a>(inst: &'a Instance, rel: &str, n: usize) -> impl Iterator<Item = &'a Tuple> {
+    let len = inst.relation(rel).map_or(0, Relation::len);
+    inst.tuples(rel).skip(len.saturating_sub(n))
+}
+
+/// A delta entry's tuples — each relation's trailing rows — as an instance.
+fn delta_to_instance(inst: &Instance, counts: &BTreeMap<Arc<str>, usize>) -> Instance {
     let mut out = Instance::new();
-    for (rel, tuples) in map {
-        for t in tuples {
-            // Scheduler delta lists are duplicate-free (the delta log only
-            // records genuinely new inserts), so this dedup is a no-op; it
-            // also guards the trailing-rows invariant the semi-naive split
-            // relies on, since a duplicate would inflate the claimed count.
-            let _ = out.insert(rel, t.clone());
+    for (rel, &n) in counts {
+        for t in trailing(inst, rel, n) {
+            out.insert(rel, t.clone())
+                .expect("a relation's rows share one arity");
         }
     }
     out
 }
 
-fn instance_to_delta(inst: &Instance) -> BTreeMap<Arc<str>, Vec<Tuple>> {
+/// Read a delta entry's tuples back as per-relation counts, rejecting any
+/// list that is not exactly its relation's trailing rows in `inst`.
+fn instance_to_delta(inst: &Instance, di: &Instance) -> Result<BTreeMap<Arc<str>, usize>, String> {
     let mut out = BTreeMap::new();
-    for rel in inst.relation_names() {
-        let tuples: Vec<Tuple> = inst.tuples(rel).cloned().collect();
-        if !tuples.is_empty() {
-            out.insert(rel.clone(), tuples);
+    for rel in di.relation_names() {
+        let n = di.tuples(rel).count();
+        if !di.tuples(rel).eq(trailing(inst, rel, n)) {
+            return Err(format!(
+                "delta tuples for `{rel}` are not the relation's trailing rows"
+            ));
         }
+        out.insert(rel.clone(), n);
     }
-    out
+    Ok(out)
 }
 
 /// Continue an interrupted chase from `checkpoint` under `config`'s
@@ -390,11 +405,8 @@ mod tests {
         let mut nullmap = NullMap::new();
         let _ = nullmap.unify(&Value::null(5), &Value::int(9));
         let _ = nullmap.unify(&Value::null(7), &Value::null(2));
-        let mut delta = BTreeMap::new();
-        delta.insert(
-            Arc::from("S"),
-            vec![Tuple::new(vec![Value::int(1), Value::str("a\"b")])],
-        );
+        // Dependency 2 has every S row (from slot 0 on) pending.
+        let delta = BTreeMap::from([(Arc::from("S"), 0)]);
         Checkpoint::capture(
             "delta",
             4,
@@ -497,5 +509,99 @@ mod tests {
             (Pending::Delta(a), Pending::Delta(b)) => assert_eq!(a, b),
             other => panic!("v1 delta slot did not read back: {other:?}"),
         }
+    }
+
+    /// `k` reads `R` and is declared first. Sweep 1 merges `N0 := 5`,
+    /// which tombstones `R`'s slot 0; sweep 2 appends `R(3, 7)` after `k`
+    /// ran, so `k` (and `e`) end it with that one row pending — past a
+    /// tombstone a rebuild of the instance drops.
+    const TOMBSTONE_PROGRAM: &str = "tgd k: R(x, y), P(y) -> Out(x, y).\n\
+                                     egd e: R(x, y1), R(x, y2) -> y1 = y2.\n\
+                                     tgd b: T(x) -> R(x, 7).\n\
+                                     tgd c: S(x) -> T(x).";
+
+    fn tombstone_start() -> Instance {
+        let mut start = Instance::new();
+        start.add("R", vec![Value::int(1), Value::null(0)]).unwrap();
+        start.add("R", vec![Value::int(1), Value::int(5)]).unwrap();
+        start.add("P", vec![Value::int(5)]).unwrap();
+        start.add("P", vec![Value::int(7)]).unwrap();
+        start.add("S", vec![Value::int(3)]).unwrap();
+        start
+    }
+
+    /// The checkpoint of [`TOMBSTONE_PROGRAM`], written by the v2 encoder
+    /// of the tuple-list scheduler: the envelope must keep loading.
+    const PRE_CURSOR_CHECKPOINT: &str = r#"{"version":2,"mode":"delta","rounds":2,"next_null":1,"instance":"Out(1, 5).\nP(5).\nP(7).\nR(1, 5).\nR(3, 7).\nS(3).\nT(3).\n","nullmap":"__nullmap(N0, 5).\n","pending":[{"kind":"delta","tuples":"R(3, 7).\n","new":{"R":1}},{"kind":"delta","tuples":"R(3, 7).\n","new":{"R":1}},{"kind":"idle"},{"kind":"idle"}]}"#;
+
+    fn delta_mode() -> ChaseConfig {
+        ChaseConfig::default().with_scheduler(crate::config::SchedulerMode::Delta)
+    }
+
+    fn resume_render(cp: &Checkpoint, deps: &[Dependency]) -> String {
+        match chase_resume(cp, deps, &delta_mode()).unwrap() {
+            ChaseOutcome::Completed(r) => grom_data::canonical_render(&r.instance),
+            other => panic!("resume should complete, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn pending_rows_past_a_tombstone_survive_a_rebuild() {
+        use crate::config::Budget;
+        use grom_data::canonical_render;
+        use grom_lang::parser::parse_program;
+        let p = parse_program(TOMBSTONE_PROGRAM).unwrap();
+        let full = crate::chase_standard(tombstone_start(), &p.deps, &delta_mode()).unwrap();
+        assert_eq!(full.instance.tuples("Out").count(), 2);
+
+        // Three inserts trip the cap at the end of sweep 2.
+        let capped = delta_mode().with_budget(Budget::none().with_max_tuples(3));
+        let mut interrupted = match crate::chase_standard(tombstone_start(), &p.deps, &capped) {
+            Err(ChaseError::Interrupted(i)) => i,
+            other => panic!("expected an interruption, got {other:?}"),
+        };
+        // The scenario is the one described: R keeps a tombstone below the
+        // pending row, and k holds that row as its delta.
+        let r = interrupted.instance.relation("R").unwrap();
+        assert!(r.frontier() as usize > r.len(), "no tombstone in R");
+        let pending = BTreeMap::from([(Arc::from("R"), 1)]);
+        assert_eq!(interrupted.checkpoint.pending[0], Pending::Delta(pending));
+
+        interrupted.unintern();
+        let text = interrupted.checkpoint.to_json();
+        assert_eq!(text, PRE_CURSOR_CHECKPOINT);
+        let cp = Checkpoint::from_json(&text).unwrap();
+        assert_eq!(
+            resume_render(&cp, &p.deps),
+            canonical_render(&full.instance)
+        );
+    }
+
+    #[test]
+    fn delta_tuples_must_be_the_trailing_rows() {
+        // R's trailing row is R(3, 7); an edited list naming the row
+        // before it, or a row R does not hold, would shift the split.
+        let entry = r#"{"kind":"delta","tuples":"R(3, 7).\n""#;
+        assert!(PRE_CURSOR_CHECKPOINT.contains(entry));
+        for edit in ["R(1, 5).", "R(9, 9)."] {
+            let edited_entry = entry.replace("R(3, 7).", edit);
+            let edited = PRE_CURSOR_CHECKPOINT.replacen(entry, &edited_entry, 1);
+            let err = Checkpoint::from_json(&edited).unwrap_err();
+            assert!(err.contains("not the relation's trailing rows"), "{err}");
+        }
+    }
+
+    #[test]
+    fn pre_cursor_checkpoints_load_and_resume() {
+        use grom_data::canonical_render;
+        use grom_lang::parser::parse_program;
+        let p = parse_program(TOMBSTONE_PROGRAM).unwrap();
+        let full = crate::chase_standard(tombstone_start(), &p.deps, &delta_mode()).unwrap();
+        let cp = Checkpoint::from_json(PRE_CURSOR_CHECKPOINT).unwrap();
+        assert_eq!(cp.to_json(), PRE_CURSOR_CHECKPOINT);
+        assert_eq!(
+            resume_render(&cp, &p.deps),
+            canonical_render(&full.instance)
+        );
     }
 }

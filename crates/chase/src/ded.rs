@@ -29,7 +29,7 @@ use grom_engine::{disjunct_satisfied, evaluate_body_streaming, Control};
 
 use crate::config::ChaseConfig;
 use crate::nullmap::NullMap;
-use crate::result::{ChaseError, ChaseOutcome, ChaseResult, ChaseStats};
+use crate::result::{ChaseError, ChaseResult, ChaseStats};
 use crate::standard::{apply_disjunct, chase_standard, check_executable, Nulls};
 
 /// Anchor the campaign budget once, so every scenario / node closure the
@@ -167,28 +167,15 @@ pub fn chase_greedy(
 }
 
 /// Dispatch: the greedy chase when deds are present, the plain standard
-/// chase otherwise. This is GROM's default execution path.
+/// chase otherwise. This is GROM's default execution path. The checkpoint
+/// of an interrupted ded run is tied to the scenario's *derived*
+/// dependency set: `chase_resume` must be fed the program actually chased.
 pub fn chase_with_deds(
     start: Instance,
     deps: &[Dependency],
     config: &ChaseConfig,
 ) -> Result<ChaseResult, ChaseError> {
     chase_greedy(start, deps, config)
-}
-
-/// Budget-aware twin of [`chase_with_deds`]: a budget or cancellation stop
-/// in the underlying scenario run surfaces as
-/// [`ChaseOutcome::Interrupted`] with the instance-so-far and a resumable
-/// checkpoint. Note the checkpoint of a ded run is tied to the scenario's
-/// *derived* dependency set; `chase_resume` must be fed the same program
-/// that was actually chased (the pipeline handles this for ded-free
-/// programs — the common case for resume).
-pub fn chase_with_deds_outcome(
-    start: Instance,
-    deps: &[Dependency],
-    config: &ChaseConfig,
-) -> Result<ChaseOutcome, ChaseError> {
-    ChaseOutcome::from_run(chase_with_deds(start, deps, config))
 }
 
 /// Ablation of the greedy strategy: **backjumping** scenario search.

@@ -22,9 +22,9 @@
 //!   programs run under the round budget of [`ChaseConfig`].
 //! * [`trigger`] / [`scheduler`] — the delta-driven (semi-naive) scheduler
 //!   and the one sweep driver all chase variants run on: a static trigger
-//!   index routes newly inserted tuples to the dependencies whose premises
-//!   read them, and premise evaluation is seeded from those deltas instead
-//!   of rescanning the whole instance every round (see
+//!   index routes the slot range of newly inserted rows to the dependencies
+//!   whose premises read them, and premise evaluation is seeded from those
+//!   rows instead of rescanning the whole instance every round (see
 //!   [`config::SchedulerMode`]). The same driver runs the full-rescan
 //!   reference round.
 //! * [`partition`] / [`parallel`] — the parallel chase executor: the
@@ -54,14 +54,13 @@ pub use checkpoint::{chase_resume, Checkpoint};
 pub use config::{Budget, CancelToken, ChaseConfig, InterruptReason, SchedulerMode};
 pub use core_min::{core_minimize, CoreStats};
 pub use ded::{
-    chase_exhaustive, chase_greedy, chase_greedy_backjump, chase_with_deds,
-    chase_with_deds_outcome, ExhaustiveResult,
+    chase_exhaustive, chase_greedy, chase_greedy_backjump, chase_with_deds, ExhaustiveResult,
 };
 pub use nullmap::NullMap;
 pub use partition::Partition;
 pub use result::{ChaseError, ChaseOutcome, ChaseResult, ChaseStats, Interrupted};
 pub use scheduler::Scheduler;
-pub use standard::{chase_standard, chase_standard_full_rescan, chase_standard_outcome};
+pub use standard::{chase_standard, chase_standard_full_rescan};
 pub use trigger::TriggerIndex;
 pub use wa::{is_weakly_acyclic, WeakAcyclicityReport};
 

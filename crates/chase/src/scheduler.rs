@@ -2,14 +2,17 @@
 //! every chase mode runs on.
 //!
 //! Instead of rescanning every premise against the whole instance each
-//! round, the scheduler keeps a worklist of `(dependency, delta)` pairs: a
-//! static [`TriggerIndex`] maps each relation to the dependencies whose
-//! premise reads it, each job routes the tuples its repairs insert (a
-//! [`DeltaLog`]) to the triggered members of its group, and premise
-//! evaluation is seeded from those tuples only
-//! ([`grom_engine::evaluate_body_from_delta`] anchors one premise atom to a
-//! delta tuple; atoms before the anchor read only the *old* half of their
-//! relation, so each match is enumerated exactly once).
+//! round, the scheduler keeps a worklist of `(dependency, delta)` pairs. A
+//! delta is a slot range: per relation, the cursor where the dependency's
+//! unseen rows begin. A static [`TriggerIndex`] maps each relation to the
+//! dependencies whose premise reads it; each job compares the
+//! [`Relation::frontier`] of every relation an activation concludes before
+//! and after it, and routes the old frontier as a cursor to the triggered
+//! members of its group. No tuple is copied. Premise evaluation is seeded
+//! from the new rows only ([`grom_engine::evaluate_body_from_delta`]
+//! anchors one premise atom on the rows past its cursor; atoms before the
+//! anchor read only the *old* half of their relation, so each match is
+//! enumerated exactly once).
 //!
 //! ## One driver
 //!
@@ -27,14 +30,14 @@
 //!
 //! ## Old/new versioning
 //!
-//! Relation rows only append (`grom-data` tombstones and re-appends on null
-//! substitution), and a claimed delta's tuples for a relation are exactly
-//! its most recently inserted live rows: substitution re-marks every reader
-//! of a rewritten relation `Full`, one job appends to a relation between
-//! claims (its group owns it), and routing only appends to pending lists.
-//! `delta_violations` therefore splits old from new with the cursor before
-//! the last `n` rows ([`grom_engine::Db::cursor_before_last_rel`]). Debug
-//! builds assert the exactly-once guarantee.
+//! Relation rows only append, and only null substitution tombstones or
+//! compacts a relation's slots — after which it re-marks every reader of
+//! the rewritten relation `Full`. A pending cursor therefore stays valid
+//! until its dependency is claimed, and one job appends to a relation
+//! between claims (its group owns it). Where two routes of one relation
+//! meet, the smaller cursor covers both. Debug builds assert the
+//! exactly-once guarantee. Cursors do not survive a rebuild of the
+//! instance, so a [`Checkpoint`] stores the count of rows past each one.
 //!
 //! Full rescans remain in exactly two places: every dependency's **first**
 //! activation, and — after an egd-driven null unification — the readers of
@@ -67,7 +70,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use grom_data::{DeltaLog, Instance, NullGenerator, StridedNullGenerator, Tuple, Value};
+use grom_data::{Instance, NullGenerator, Relation, StridedNullGenerator, Value};
 use grom_lang::{Bindings, Dependency};
 use grom_trace::{ActivationKind, ActivationRecord, Recorder, WorkerRecorder};
 
@@ -88,33 +91,48 @@ use crate::standard::{
 };
 use crate::trigger::TriggerIndex;
 
-/// Pending work for one dependency.
-#[derive(Debug, Clone)]
-pub(crate) enum Pending {
+/// Pending work for one dependency. A delta marks, per relation, where the
+/// dependency's unseen rows begin: a slot cursor in the scheduler, a count
+/// of trailing live rows in a [`Checkpoint`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Pending<M = u32> {
     /// Nothing new since the premise was last evaluated.
     Idle,
     /// Evaluate the premise against the full instance (first activation, or
     /// after a null unification invalidated the deltas).
     Full,
-    /// Evaluate seeded from these per-relation delta tuples only.
-    Delta(BTreeMap<Arc<str>, Vec<Tuple>>),
+    /// Evaluate seeded from each relation's rows past its mark only.
+    Delta(BTreeMap<Arc<str>, M>),
+}
+
+impl<M> Pending<M> {
+    /// The same work with every delta mark converted by `f`.
+    pub(crate) fn map_marks<N>(&self, mut f: impl FnMut(&Arc<str>, &M) -> N) -> Pending<N> {
+        match self {
+            Pending::Idle => Pending::Idle,
+            Pending::Full => Pending::Full,
+            Pending::Delta(map) => Pending::Delta(
+                map.iter()
+                    .map(|(rel, m)| (rel.clone(), f(rel, m)))
+                    .collect(),
+            ),
+        }
+    }
 }
 
 impl Pending {
-    /// Fold freshly routed tuples of `rel` into this slot. `Full` already
-    /// subsumes any delta; `Idle` wakes up.
-    pub(crate) fn add_delta(&mut self, rel: &Arc<str>, tuples: &[Tuple]) {
+    /// Fold a route of `rel`'s rows from slot `cursor` on into this slot.
+    /// `Full` already subsumes any delta; `Idle` wakes up; of two routes
+    /// of one relation the smaller cursor covers both.
+    pub(crate) fn add_delta(&mut self, rel: &Arc<str>, cursor: u32) {
         match self {
             Pending::Full => {}
             Pending::Delta(map) => {
-                map.entry(rel.clone())
-                    .or_default()
-                    .extend(tuples.iter().cloned());
+                let c = map.entry(rel.clone()).or_insert(cursor);
+                *c = (*c).min(cursor);
             }
             slot @ Pending::Idle => {
-                let mut map = BTreeMap::new();
-                map.insert(rel.clone(), tuples.to_vec());
-                *slot = Pending::Delta(map);
+                *slot = Pending::Delta(BTreeMap::from([(rel.clone(), cursor)]));
             }
         }
     }
@@ -168,21 +186,6 @@ impl Scheduler {
         std::mem::replace(&mut self.pending[k], Pending::Idle)
     }
 
-    /// Route a batch of newly inserted tuples to the dependencies their
-    /// relations trigger.
-    pub fn post(&mut self, delta: &DeltaLog) {
-        debug_assert!(!delta.invalidated(), "stale deltas must invalidate");
-        self.post_surviving(delta, &[]);
-    }
-
-    /// Route a delta batch, skipping tuples of the `stale` relations (those
-    /// a null substitution rewrote after the batch was logged — their
-    /// readers are rescheduled for full rescans instead, see
-    /// [`Scheduler::invalidate_readers`]).
-    pub fn post_surviving(&mut self, delta: &DeltaLog, stale: &[Arc<str>]) {
-        route(&mut self.pending, &self.triggers, delta, stale);
-    }
-
     /// Claim the sweep's worklist: one [`Job`] per group of `partition`
     /// with pending work, in group order.
     fn claim(&mut self, partition: &Partition) -> Vec<Job> {
@@ -221,23 +224,24 @@ impl Scheduler {
     /// actually rewrote, per the report of
     /// [`Instance::substitute_nulls`]. Deltas of dependencies reading only
     /// untouched relations stay valid: a relation is only *unchanged* when
-    /// the substitution mapped none of the nulls occurring in it, so every
-    /// tuple logged for it is still stored verbatim.
+    /// the substitution mapped none of the nulls occurring in it, so its
+    /// slots — and every cursor into them — are untouched.
     pub fn invalidate_readers(&mut self, changed: &[Arc<str>]) {
         invalidate_readers(&mut self.pending, &self.triggers, changed);
     }
 }
 
-/// Route a delta batch to the worklist slots of the dependencies its
-/// relations trigger, skipping the `stale` relations.
-fn route(pending: &mut [Pending], triggers: &TriggerIndex, delta: &DeltaLog, stale: &[Arc<str>]) {
-    for (rel, tuples) in delta.relations() {
-        if !stale.contains(rel) {
-            for &k in triggers.triggered_by(rel) {
-                pending[k].add_delta(rel, tuples);
-            }
-        }
+/// Route `rel`'s rows from slot `cursor` on to the worklist slots of the
+/// dependencies it triggers.
+fn route(pending: &mut [Pending], triggers: &TriggerIndex, rel: &Arc<str>, cursor: u32) {
+    for &k in triggers.triggered_by(rel) {
+        pending[k].add_delta(rel, cursor);
     }
+}
+
+/// The slot past `rel`'s newest row in `store` (0 while it is absent).
+fn frontier(store: &impl Store, rel: &str) -> u32 {
+    store.relation(rel).map_or(0, Relation::frontier)
 }
 
 /// Re-mark `Full` the worklist slot of every reader of a `changed`
@@ -250,11 +254,10 @@ fn invalidate_readers(pending: &mut [Pending], triggers: &TriggerIndex, changed:
     }
 }
 
-/// Violating premise matches of `dep` seeded from per-relation deltas, in
-/// deterministic order. With `stop_at_first` (denials) at most one match is
-/// returned. Generic over [`Db`] so the parallel executor can evaluate
-/// against ownership views. Stale delta tuples skipped by the anchor arity
-/// check are counted in `stats` instead of being dropped silently.
+/// Violating premise matches of `dep` seeded from the rows past each
+/// relation's cursor, in deterministic order. With `stop_at_first`
+/// (denials) at most one match is returned. Generic over [`Db`] so the
+/// parallel executor can evaluate against ownership views.
 ///
 /// The semi-naive version split in [`evaluate_body_from_delta`] enumerates
 /// each match exactly once across anchor positions, so no dedup set is
@@ -264,18 +267,17 @@ fn invalidate_readers(pending: &mut [Pending], triggers: &TriggerIndex, changed:
 pub(crate) fn delta_violations(
     db: &impl Db,
     dep: &Dependency,
-    delta: &BTreeMap<Arc<str>, Vec<Tuple>>,
+    delta: &BTreeMap<Arc<str>, u32>,
     stop_at_first: bool,
-    stats: &mut ChaseStats,
 ) -> Vec<Bindings> {
-    let deltas: Vec<(&str, &[Tuple])> = delta
+    let deltas: Vec<(&str, u64)> = delta
         .iter()
-        .map(|(rel, tuples)| (rel.as_ref(), tuples.as_slice()))
+        .map(|(rel, &cursor)| (rel.as_ref(), u64::from(cursor)))
         .collect();
     #[cfg(debug_assertions)]
     let mut seen: BTreeSet<Bindings> = BTreeSet::new();
     let mut out: Vec<Bindings> = Vec::new();
-    stats.stale_delta_skipped += evaluate_body_from_delta(db, &dep.premise, &deltas, |b| {
+    evaluate_body_from_delta(db, &dep.premise, &deltas, |b| {
         if !dep.disjuncts.iter().any(|d| disjunct_satisfied(db, d, b)) {
             #[cfg(debug_assertions)]
             assert!(
@@ -304,7 +306,7 @@ pub(crate) struct Job {
 #[derive(Default)]
 pub(crate) struct JobOutcome {
     pub group: usize,
-    /// The group's worklist after the job: tuples routed to members that
+    /// The group's worklist after the job: rows routed to members that
     /// already ran (they run next sweep), `Full` for deferred members.
     pub pending: Vec<Pending>,
     /// A pool job's equality obligations, tagged with their dependency
@@ -322,11 +324,11 @@ pub(crate) struct JobOutcome {
 }
 
 /// Run one job: activate the group's pending members in declaration order
-/// against `store`, repair their violations, and route every inserted tuple
-/// to the members it triggers — all of them in this group, by the partition
-/// rule. Members later in the order run on the new tuples this sweep;
-/// earlier ones (and the inserting member itself) next sweep, exactly as in
-/// the declaration-ordered reference round.
+/// against `store`, repair their violations, and route every activation's
+/// inserts to the members they trigger — all of them in this group, by the
+/// partition rule. Members later in the order run on the new tuples this
+/// sweep; earlier ones (and the inserting member itself) next sweep,
+/// exactly as in the declaration-ordered reference round.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_job(
     store: &mut impl Store,
@@ -368,6 +370,14 @@ pub(crate) fn run_job(
             }
         }
 
+        // Where each concluded relation ends before the activation: the
+        // rows past it are the activation's inserts.
+        let heads: Vec<(&Arc<str>, u32)> = dep
+            .disjuncts
+            .iter()
+            .flat_map(|d| &d.atoms)
+            .map(|a| (&a.predicate, frontier(store, &a.predicate)))
+            .collect();
         let t0 = Instant::now();
         let tuples0 = stats.tuples_inserted;
         let obligations0 = stats.obligations_batched;
@@ -386,9 +396,12 @@ pub(crate) fn run_job(
                 }
                 Pending::Delta(map) => {
                     stats.delta_activations += 1;
-                    let seeded = map.values().map(Vec::len).sum::<usize>();
+                    let seeded: usize = map
+                        .iter()
+                        .map(|(rel, &c)| store.relation(rel).map_or(0, |r| r.len_from(c)))
+                        .sum();
                     stats.delta_tuples_seeded += seeded;
-                    let vs = delta_violations(&*store, dep, &map, dep.is_denial(), stats);
+                    let vs = delta_violations(&*store, dep, &map, dep.is_denial());
                     (ActivationKind::Delta, seeded as u64, vs)
                 }
             };
@@ -448,8 +461,12 @@ pub(crate) fn run_job(
 
         // Route everything — every reader is in this group; if this sweep
         // turns out to be merge-bearing, the substitution re-marks every
-        // reader of a rewritten relation Full, subsuming stale tuples.
-        route(&mut out.pending, triggers, &store.take_delta(), &[]);
+        // reader of a rewritten relation Full, subsuming its cursors.
+        for (rel, before) in heads {
+            if frontier(store, rel) > before {
+                route(&mut out.pending, triggers, rel, before);
+            }
+        }
     }
     out.max_null = fresh.max_allocated();
     out
@@ -492,7 +509,6 @@ pub(crate) fn apply_sweep_merges(
 ) -> (usize, Vec<Arc<str>>) {
     let map = nullmap.flatten();
     let changed = inst.substitute_nulls_batch(&map);
-    inst.take_delta(); // discard the invalidation marker, if tracking
     stats.substitution_passes += 1;
     (map.len(), changed)
 }
@@ -592,14 +608,10 @@ pub(crate) fn run(
     let budget = config.budget.anchored();
     let sweeper = match mode {
         SchedulerMode::FullRescan => Sweeper::Reference,
-        SchedulerMode::Delta => {
-            run.inst.begin_delta_tracking();
-            let partition = Partition::single(deps.len());
-            Sweeper::Jobs {
-                partition,
-                pool: None,
-            }
-        }
+        SchedulerMode::Delta => Sweeper::Jobs {
+            partition: Partition::single(deps.len()),
+            pool: None,
+        },
         SchedulerMode::Parallel { threads } => {
             let partition = Partition::build(deps, run.sched.triggers());
             let groups: Vec<usize> = (0..deps.len()).map(|k| partition.group_of(k)).collect();
@@ -658,14 +670,13 @@ pub(crate) fn run(
     };
 
     let RunState {
-        mut inst,
+        inst,
         mut nullmap,
         nullgen,
         stats,
         rec,
         sched,
     } = run;
-    inst.end_delta_tracking();
     let Some(reason) = interrupted else {
         let profile = rec.finish();
         return Ok(ChaseResult {
@@ -849,14 +860,14 @@ mod tests {
         }
         assert!(!sched.has_work());
 
-        // A delta on A wakes only dependency b.
-        let mut inst = Instance::new();
-        inst.begin_delta_tracking();
-        inst.add("A", vec![Value::int(1)]).unwrap();
-        let log = inst.take_delta();
-        sched.post(&log);
-        assert!(matches!(sched.take(0), Pending::Idle));
-        assert!(matches!(sched.take(1), Pending::Delta(_)));
+        // A route of A's rows wakes only dependency b; where two routes
+        // meet, the smaller cursor covers both.
+        let a: Arc<str> = Arc::from("A");
+        for cursor in [3, 1, 5] {
+            route(&mut sched.pending, &sched.triggers, &a, cursor);
+        }
+        assert_eq!(sched.take(0), Pending::Idle);
+        assert_eq!(sched.take(1), Pending::Delta(BTreeMap::from([(a, 1)])));
     }
 
     #[test]
@@ -881,11 +892,9 @@ mod tests {
             sched.take(k);
         }
         // Both dependencies hold pending deltas...
-        let mut inst = Instance::new();
-        inst.begin_delta_tracking();
-        inst.add("A", vec![Value::int(1)]).unwrap();
-        inst.add("B", vec![Value::int(2)]).unwrap();
-        sched.post(&inst.take_delta());
+        for rel in ["A", "B"] {
+            route(&mut sched.pending, &sched.triggers, &Arc::from(rel), 0);
+        }
         // ...then a substitution rewrites only A: its reader goes Full,
         // B's reader keeps its delta.
         sched.invalidate_readers(&[Arc::from("A")]);
@@ -988,27 +997,5 @@ mod tests {
             canonical_render(&reference.instance),
             canonical_render(&par.instance)
         );
-    }
-
-    #[test]
-    fn post_surviving_skips_stale_relations() {
-        let p = parse_program(
-            "tgd a: A(x) -> A2(x).\n\
-             tgd b: B(x) -> B2(x).",
-        )
-        .unwrap();
-        let mut sched = Scheduler::new(&p.deps);
-        for k in 0..p.deps.len() {
-            sched.take(k);
-        }
-        let mut inst = Instance::new();
-        inst.begin_delta_tracking();
-        inst.add("A", vec![Value::int(1)]).unwrap();
-        inst.add("B", vec![Value::int(2)]).unwrap();
-        let log = inst.take_delta();
-        sched.post_surviving(&log, &[Arc::from("A")]);
-        // A's tuples were stale and dropped; B's were routed.
-        assert!(matches!(sched.take(0), Pending::Idle));
-        assert!(matches!(sched.take(1), Pending::Delta(_)));
     }
 }

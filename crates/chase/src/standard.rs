@@ -31,7 +31,7 @@ use grom_exec::Store;
 use crate::checkpoint::ResumeState;
 use crate::config::{ChaseConfig, InterruptReason, SchedulerMode};
 use crate::nullmap::{NullMap, Unify};
-use crate::result::{ChaseError, ChaseOutcome, ChaseResult, ChaseStats};
+use crate::result::{ChaseError, ChaseResult, ChaseStats};
 use crate::scheduler::{RunState, SweepEnd};
 
 /// Reject dependencies the standard chase cannot execute.
@@ -298,17 +298,6 @@ pub fn chase_standard(
         config,
         config.scheduler,
     )
-}
-
-/// Budget-aware entry point: like [`chase_standard`], but a budget or
-/// cancellation stop surfaces as [`ChaseOutcome::Interrupted`] (carrying
-/// the instance-so-far and a resumable checkpoint) instead of an error.
-pub fn chase_standard_outcome(
-    start: Instance,
-    deps: &[Dependency],
-    config: &ChaseConfig,
-) -> Result<ChaseOutcome, ChaseError> {
-    ChaseOutcome::from_run(chase_standard(start, deps, config))
 }
 
 /// The classical round-based chase: every round re-evaluates every

@@ -47,12 +47,10 @@
 //! assert!(result.validation.as_ref().unwrap().ok);
 //! ```
 
-pub mod config;
 pub mod pipeline;
 pub mod scenario;
 pub mod validate;
 
-pub use config::GromConfig;
 pub use grom_chase::{Budget, CancelToken, ChaseConfig, Checkpoint, SchedulerMode};
 pub use grom_trace::{ChaseProfile, TraceHandle};
 pub use pipeline::{intern_dependencies, ExchangeResult, PipelineError, PipelineOptions};
@@ -61,7 +59,6 @@ pub use validate::{validate_solution, ValidationReport};
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use crate::config::GromConfig;
     pub use crate::pipeline::{ExchangeResult, PipelineError, PipelineOptions};
     pub use crate::scenario::MappingScenario;
     pub use crate::validate::{validate_solution, ValidationReport};

@@ -223,17 +223,6 @@ impl MappingScenario {
         Ok(rewrite_program(&self.target_views, &deps, options)?)
     }
 
-    /// Run the full pipeline with a flat [`crate::GromConfig`] — the
-    /// preferred entry point; [`MappingScenario::run`] with hand-assembled
-    /// [`PipelineOptions`] remains for existing callers.
-    pub fn run_with(
-        &self,
-        source: &Instance,
-        config: &crate::GromConfig,
-    ) -> Result<ExchangeResult, PipelineError> {
-        self.run(source, &config.into())
-    }
-
     /// Run the full pipeline on a source instance.
     pub fn run(
         &self,

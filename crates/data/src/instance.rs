@@ -53,8 +53,9 @@ pub struct RelId(pub u32);
 /// half. The semi-naive delta evaluator in `grom-engine` scans premise
 /// atoms before its anchor old-only and the anchor new-only, so each match
 /// is enumerated exactly once across anchor positions. Cursors come from
-/// [`Relation::cursor_before_last`]; they are positional and only
-/// meaningful against the relation state they were computed from.
+/// [`Relation::frontier`]; they are positional, and stay meaningful only
+/// while no null substitution rewrites the relation (which may tombstone
+/// or compact its slots).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Span {
     /// All live rows (the unversioned view).
@@ -262,17 +263,27 @@ impl Relation {
         self.rows.len() as u32
     }
 
+    /// The number of live rows in slots at or above `cursor`: the size of
+    /// the new half [`Span::AtLeast`] of it selects.
+    pub fn len_from(&self, cursor: u32) -> usize {
+        let from = (cursor as usize).min(self.rows.len());
+        self.rows[from..]
+            .iter()
+            .filter(|slot| slot.is_some())
+            .count()
+    }
+
     /// The cursor that splits off the last `n` live rows as the *new* half:
     /// [`Span::AtLeast`] of the returned cursor covers exactly the `n`
     /// most recently inserted live tuples, [`Span::Below`] everything
     /// older. `n == 0` yields the [`Relation::frontier`] (nothing is new);
-    /// `n >= len()` yields 0 (everything is new).
+    /// `n >= len()` yields 0 (everything is new). The inverse of
+    /// [`Relation::len_from`] over a cursor with no tombstone above it.
     ///
-    /// This is how the delta scheduler versions a relation at claim time:
-    /// a claimed delta of `n` tuples is, by the append-only row discipline,
-    /// exactly the relation's trailing `n` live rows, so the old/new split
-    /// needs no stored promotion state — "promote" is simply recomputing
-    /// the cursor against the next claim.
+    /// Slot cursors do not survive a rebuild of the instance (reading it
+    /// back from text renumbers the slots), but live-row counts do: a
+    /// chase checkpoint stores counts and turns them back into cursors
+    /// with this.
     pub fn cursor_before_last(&self, n: usize) -> u32 {
         if n == 0 {
             return self.frontier();
@@ -539,63 +550,6 @@ impl Relation {
     }
 }
 
-/// A log of tuples inserted into an [`Instance`] while delta tracking is
-/// enabled, grouped by relation.
-///
-/// This is the bookkeeping half of the delta-driven (semi-naive) chase
-/// scheduler in `grom-chase`: after a batch of repairs, the scheduler
-/// drains the log with [`Instance::take_delta`] and feeds the new tuples —
-/// and only those — back into premise evaluation. Null substitution
-/// rewrites tuples in place, so [`Instance::substitute_nulls`] marks the
-/// log *invalidated* instead of trying to track the rewrite; consumers
-/// must fall back to a full rescan.
-#[derive(Debug, Clone, Default)]
-pub struct DeltaLog {
-    tuples: BTreeMap<Arc<str>, Vec<Tuple>>,
-    invalidated: bool,
-}
-
-impl DeltaLog {
-    /// No new tuples and not invalidated?
-    pub fn is_empty(&self) -> bool {
-        !self.invalidated && self.tuples.is_empty()
-    }
-
-    /// Total number of logged tuples.
-    pub fn len(&self) -> usize {
-        self.tuples.values().map(Vec::len).sum()
-    }
-
-    /// Was the log invalidated by a null substitution? Logged tuples may be
-    /// stale; consumers must fall back to a full rescan.
-    pub fn invalidated(&self) -> bool {
-        self.invalidated
-    }
-
-    /// The logged tuples, grouped by relation (sorted by name).
-    pub fn relations(&self) -> impl Iterator<Item = (&Arc<str>, &[Tuple])> {
-        self.tuples.iter().map(|(name, ts)| (name, ts.as_slice()))
-    }
-
-    /// Append one inserted tuple to `relation`'s list.
-    pub fn record(&mut self, relation: &Arc<str>, tuple: Tuple) {
-        self.tuples.entry(relation.clone()).or_default().push(tuple);
-    }
-
-    /// Append all of `other`'s tuples to this log, preserving per-relation
-    /// order. Invalidation is sticky: absorbing an invalidated log marks
-    /// this one invalidated too.
-    pub fn absorb(&mut self, other: &DeltaLog) {
-        for (rel, tuples) in other.relations() {
-            self.tuples
-                .entry(rel.clone())
-                .or_default()
-                .extend(tuples.iter().cloned());
-        }
-        self.invalidated |= other.invalidated;
-    }
-}
-
 /// A database instance: relation name → [`Relation`], with dense [`RelId`]
 /// resolution for hot-path callers.
 #[derive(Debug, Clone, Default)]
@@ -607,8 +561,6 @@ pub struct Instance {
     /// Composite-key registrations for relations that do not exist yet;
     /// applied when the relation is first created.
     pending_keys: BTreeMap<Arc<str>, Vec<Vec<usize>>>,
-    /// Delta log, present only while tracking is enabled.
-    delta: Option<DeltaLog>,
 }
 
 impl Instance {
@@ -681,21 +633,7 @@ impl Instance {
     /// Insert a tuple into `relation`; returns whether it was new.
     pub fn insert(&mut self, relation: &Arc<str>, tuple: Tuple) -> Result<bool, DataError> {
         let id = self.ensure_relation(relation);
-        let rel = &mut self.store[id.0 as usize].1;
-        let Some(delta) = &mut self.delta else {
-            return rel.insert(relation, tuple);
-        };
-        // With tracking on, duplicates are the common case on the chase's
-        // hot path (re-derivations); skip the log clone for them.
-        if rel.contains(&tuple) {
-            return Ok(false);
-        }
-        let logged = tuple.clone();
-        let new = rel.insert(relation, tuple)?;
-        if new {
-            delta.record(relation, logged);
-        }
-        Ok(new)
+        self.store[id.0 as usize].1.insert(relation, tuple)
     }
 
     /// Register a composite-key index on `relation` over column positions
@@ -721,32 +659,6 @@ impl Instance {
                 }
             }
         }
-    }
-
-    /// Start recording newly inserted tuples into a [`DeltaLog`]. Clears any
-    /// previous log. Tracking stays on until [`Instance::end_delta_tracking`].
-    pub fn begin_delta_tracking(&mut self) {
-        self.delta = Some(DeltaLog::default());
-    }
-
-    /// Drain the current delta log, leaving tracking enabled with a fresh
-    /// empty log. Returns an empty log when tracking is off.
-    pub fn take_delta(&mut self) -> DeltaLog {
-        match &mut self.delta {
-            Some(delta) => std::mem::take(delta),
-            None => DeltaLog::default(),
-        }
-    }
-
-    /// Stop delta tracking and return the final log (empty if tracking was
-    /// never enabled).
-    pub fn end_delta_tracking(&mut self) -> DeltaLog {
-        self.delta.take().unwrap_or_default()
-    }
-
-    /// Is delta tracking currently enabled?
-    pub fn is_delta_tracking(&self) -> bool {
-        self.delta.is_some()
     }
 
     /// Convenience insert with a `&str` relation name and raw values.
@@ -826,8 +738,8 @@ impl Instance {
     /// Replace every `Value::Str` constant with its interned
     /// [`Value::Sym`], interning through `table` in deterministic order
     /// (relations sorted by name, tuples in insertion order). Relation
-    /// structure, registered keys and insertion order carry over; delta
-    /// tracking state does not (the chase re-enables it).
+    /// structure, registered keys and insertion order carry over; slot
+    /// numbers do not (tombstones are dropped).
     pub fn intern_strings(&self, table: &mut SymbolTable) -> Instance {
         let mut out = Instance::new();
         for (name, &id) in &self.names {
@@ -876,9 +788,9 @@ impl Instance {
     /// This is the entry point of sweep-level egd batching: the chase
     /// accumulates a whole sweep's equality obligations in its union-find
     /// and applies them to the instance in one combined pass. Returns the
-    /// names of the relations that changed; any active delta log is marked
-    /// invalidated when a relation changes, exactly like
-    /// [`Instance::substitute_nulls`].
+    /// names of the relations that changed: only their slots may have been
+    /// tombstoned or compacted, so version cursors into every other
+    /// relation stay valid.
     pub fn substitute_nulls_batch(&mut self, map: &FxHashMap<NullId, Value>) -> Vec<Arc<str>> {
         if map.is_empty() {
             return Vec::new();
@@ -890,11 +802,6 @@ impl Instance {
             }
         }
         changed.sort();
-        if !changed.is_empty() {
-            if let Some(delta) = &mut self.delta {
-                delta.invalidated = true;
-            }
-        }
         changed
     }
 
@@ -907,9 +814,7 @@ impl Instance {
     /// calls this to normalize the instance. The lookup is memoized per
     /// label and the rewrite delegates to the surgical
     /// [`Instance::substitute_nulls_batch`] machinery, so unaffected rows
-    /// are never touched. Because rewritten tuples may alias tuples a
-    /// [`DeltaLog`] recorded earlier, any active delta log is marked
-    /// invalidated when a relation changes.
+    /// are never touched.
     pub fn substitute_nulls(
         &mut self,
         mut lookup: impl FnMut(NullId) -> Option<Value>,
@@ -1258,61 +1163,38 @@ mod tests {
     }
 
     #[test]
-    fn delta_tracking_records_new_tuples_only() {
+    fn new_tuples_append_past_the_frontier() {
         let mut inst = Instance::new();
         inst.add("R", vec![v(1)]).unwrap();
-        assert!(!inst.is_delta_tracking());
-        assert!(inst.take_delta().is_empty());
-
-        inst.begin_delta_tracking();
-        inst.add("R", vec![v(1)]).unwrap(); // duplicate: not logged
+        let f0 = inst.relation("R").unwrap().frontier();
+        assert!(!inst.add("R", vec![v(1)]).unwrap()); // duplicate: no slot
+        assert_eq!(inst.relation("R").unwrap().frontier(), f0);
         inst.add("R", vec![v(2)]).unwrap();
-        inst.add("S", vec![v(3)]).unwrap();
-        let delta = inst.take_delta();
-        assert_eq!(delta.len(), 2);
-        let rels: Vec<&str> = delta.relations().map(|(n, _)| n.as_ref()).collect();
-        assert_eq!(rels, vec!["R", "S"]);
-
-        // Draining leaves tracking on with a fresh log.
-        assert!(inst.is_delta_tracking());
-        assert!(inst.take_delta().is_empty());
-        inst.add("R", vec![v(4)]).unwrap();
-        let delta = inst.end_delta_tracking();
-        assert_eq!(delta.len(), 1);
-        assert!(!inst.is_delta_tracking());
+        inst.add("R", vec![v(3)]).unwrap();
+        let rel = inst.relation("R").unwrap();
+        assert_eq!(rel.frontier(), f0 + 2);
+        assert_eq!(rel.len_from(f0), 2);
+        assert_eq!(rel.len_from(rel.frontier()), 0);
+        assert_eq!(rel.cursor_before_last(rel.len_from(f0)), f0);
+        let mut newer = Vec::new();
+        rel.scan_each_v(&[None], Span::AtLeast(f0), &mut |t| {
+            newer.push(t.clone());
+            true
+        });
+        assert_eq!(newer, vec![Tuple::new(vec![v(2)]), Tuple::new(vec![v(3)])]);
     }
 
     #[test]
-    fn substitution_invalidates_delta_and_reports_changed_relations() {
+    fn substitution_reports_changed_relations() {
         let mut inst = Instance::new();
         inst.add("R", vec![Value::null(0), v(5)]).unwrap();
         inst.add("S", vec![v(1)]).unwrap();
-        inst.begin_delta_tracking();
         let changed = inst.substitute_nulls(|id| (id == NullId(0)).then(|| v(3)));
         assert_eq!(changed.len(), 1);
         assert_eq!(changed[0].as_ref(), "R");
-        let delta = inst.take_delta();
-        assert!(delta.invalidated());
-        assert!(!delta.is_empty());
-        // A no-op substitution neither changes relations nor invalidates.
+        // A no-op substitution changes no relation.
         let changed = inst.substitute_nulls(|_| None);
         assert!(changed.is_empty());
-        assert!(!inst.take_delta().invalidated());
-    }
-
-    #[test]
-    fn delta_log_absorb_appends_and_keeps_invalidation() {
-        let mut a = DeltaLog::default();
-        let mut b = DeltaLog::default();
-        a.record(&Arc::from("R"), Tuple::new(vec![v(1)]));
-        b.record(&Arc::from("R"), Tuple::new(vec![v(2)]));
-        b.record(&Arc::from("S"), Tuple::new(vec![v(3)]));
-        a.absorb(&b);
-        assert_eq!(a.len(), 3);
-        assert!(!a.invalidated());
-        b.invalidated = true;
-        a.absorb(&b);
-        assert!(a.invalidated());
     }
 
     #[test]
@@ -1343,19 +1225,17 @@ mod tests {
             newer.push(t.clone());
             true
         });
-        assert_eq!(
-            newer,
-            vec![Tuple::new(vec![v(3)]), Tuple::new(vec![v(4)])]
-        );
+        assert_eq!(newer, vec![Tuple::new(vec![v(3)]), Tuple::new(vec![v(4)])]);
     }
 
     #[test]
     fn cursor_before_last_counts_live_rows_across_tombstones() {
         let mut inst = Instance::new();
-        inst.add("R", vec![Value::null(0)]).unwrap(); // slot 0, tombstoned
-        inst.add("R", vec![v(10)]).unwrap(); // slot 1
-        inst.add("R", vec![v(20)]).unwrap(); // slot 2
-        // Substitution tombstones slot 0 and re-appends the rewrite at slot 3.
+        // Slots 0, 1 and 2; substitution then tombstones slot 0 and
+        // re-appends its rewrite at slot 3.
+        inst.add("R", vec![Value::null(0)]).unwrap();
+        inst.add("R", vec![v(10)]).unwrap();
+        inst.add("R", vec![v(20)]).unwrap();
         inst.substitute_nulls(|id| (id == NullId(0)).then(|| v(30)));
         let rel = inst.relation("R").unwrap();
         assert_eq!(rel.len(), 3);
@@ -1363,6 +1243,8 @@ mod tests {
         // the tombstone at slot 0 when counting backward.
         let c = rel.cursor_before_last(2);
         assert_eq!(c, 2);
+        assert_eq!(rel.len_from(c), 2);
+        assert_eq!(rel.len_from(0), 3); // the tombstone is not counted
         let mut older = Vec::new();
         rel.scan_each_v(&[None], Span::Below(c), &mut |t| {
             older.push(t.clone());
@@ -1399,12 +1281,8 @@ mod tests {
             let mut union = old.clone();
             union.extend(new.iter().cloned());
             assert_eq!(union, all);
-            assert!(new
-                .iter()
-                .all(|t| t.get(1).is_some_and(|x| *x >= v(6))));
-            assert!(old
-                .iter()
-                .all(|t| t.get(1).is_some_and(|x| *x < v(6))));
+            assert!(new.iter().all(|t| t.get(1).is_some_and(|x| *x >= v(6))));
+            assert!(old.iter().all(|t| t.get(1).is_some_and(|x| *x < v(6))));
         }
     }
 

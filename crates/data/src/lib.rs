@@ -32,7 +32,7 @@ pub mod value;
 
 pub use error::{DataError, GromError};
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
-pub use instance::{DeltaLog, Instance, RelId, Relation, Span};
+pub use instance::{Instance, RelId, Relation, Span};
 pub use io::{canonical_render, read_instance, write_instance, ReadError};
 pub use schema::{ColumnSchema, ColumnType, RelationSchema, Schema};
 pub use symbol::{Sym, SymbolTable};

@@ -23,10 +23,6 @@
 //! [`grom_data::RelId`]; composites pack one id per side). Tokens are only
 //! meaningful on the database that issued them and remain valid as long as
 //! that database is not mutated.
-//!
-//! The historical name-keyed methods (`scan_relation`, …) survive as
-//! default implementations over `resolve`, so existing callers and tests
-//! keep working; new code should resolve once and use the `_rel` forms.
 
 use grom_data::{Instance, RelId, Span, Tuple, Value};
 
@@ -44,12 +40,12 @@ pub struct DbRel(pub u64);
 
 /// A version half of a relation, for semi-naive delta evaluation.
 ///
-/// The cursor payload is an opaque value from
-/// [`Db::cursor_before_last_rel`] — like [`DbRel`] tokens, cursors are only
-/// meaningful on the database that issued them, and only against the
-/// database state they were computed from. `Old(c)` selects tuples strictly
-/// older than the cursor, `New(c)` the cursor's trailing tuples, `All` the
-/// unversioned view (`Old(c) ∪ New(c)` for any valid `c`).
+/// On the slot-based databases (an [`Instance`], and the ownership views of
+/// `grom-exec`) the cursor payload is a [`grom_data::Relation`] slot, taken
+/// from [`grom_data::Relation::frontier`] before the new tuples were
+/// appended. `Old(c)` selects tuples strictly older than the cursor,
+/// `New(c)` the tuples appended since, `All` the unversioned view
+/// (`Old(c) ∪ New(c)` for any valid `c`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ver {
     All,
@@ -61,8 +57,7 @@ pub enum Ver {
 ///
 /// Patterns follow [`grom_data::Relation::scan_each`]: `pattern[i] =
 /// Some(v)` constrains column `i` to equal `v`; `None` leaves it free.
-/// Absent relations behave as empty: [`Db::resolve`] returns `None`, and
-/// the name-keyed defaults yield nothing / `false` / zero.
+/// Absent relations behave as empty: [`Db::resolve`] returns `None`.
 pub trait Db {
     /// Resolve `relation` to an opaque token, or `None` if it is absent
     /// (and therefore empty). Resolve once per evaluation, not per probe.
@@ -101,14 +96,6 @@ pub trait Db {
     /// [`Db::estimate_rel`] restricted to one version half.
     fn estimate_rel_v(&self, rel: DbRel, pattern: &[Option<Value>], ver: Ver) -> usize;
 
-    /// The version cursor that splits off the last `n` tuples of `rel` as
-    /// its *new* half: [`Ver::New`] of the returned cursor covers exactly
-    /// the `n` most recently inserted tuples, [`Ver::Old`] everything
-    /// older. This is how the delta scheduler versions a relation at claim
-    /// time — a claimed delta of `n` tuples is, by the append-only row
-    /// discipline, exactly the relation's trailing `n` tuples.
-    fn cursor_before_last_rel(&self, rel: DbRel, n: usize) -> u64;
-
     /// Does any tuple of `rel` match `pattern`? Cheaper than a scan when
     /// only existence matters (negated literals, denial checks).
     fn any_match_rel(&self, rel: DbRel, pattern: &[Option<Value>]) -> bool {
@@ -122,37 +109,6 @@ pub trait Db {
 
     /// Number of tuples in `rel`.
     fn len_rel(&self, rel: DbRel) -> usize;
-
-    /// Tuples of `relation` matching `pattern`, collected into a `Vec`.
-    /// Name-keyed convenience over [`Db::resolve`] + [`Db::scan_rel`];
-    /// prefer the streaming form on hot paths.
-    fn scan_relation<'a>(&'a self, relation: &str, pattern: &[Option<Value>]) -> Vec<&'a Tuple> {
-        let mut out = Vec::new();
-        if let Some(rel) = self.resolve(relation) {
-            self.scan_rel(rel, pattern, &mut |t| {
-                out.push(t);
-                Control::Continue
-            });
-        }
-        out
-    }
-
-    /// Name-keyed convenience over [`Db::estimate_rel`].
-    fn estimate_relation(&self, relation: &str, pattern: &[Option<Value>]) -> usize {
-        self.resolve(relation)
-            .map_or(0, |rel| self.estimate_rel(rel, pattern))
-    }
-
-    /// Name-keyed convenience over [`Db::any_match_rel`].
-    fn any_match_relation(&self, relation: &str, pattern: &[Option<Value>]) -> bool {
-        self.resolve(relation)
-            .is_some_and(|rel| self.any_match_rel(rel, pattern))
-    }
-
-    /// Number of tuples in `relation` (0 if absent).
-    fn relation_len(&self, relation: &str) -> usize {
-        self.resolve(relation).map_or(0, |rel| self.len_rel(rel))
-    }
 }
 
 impl Ver {
@@ -186,13 +142,6 @@ impl Db for Instance {
     fn estimate_rel_v(&self, rel: DbRel, pattern: &[Option<Value>], ver: Ver) -> usize {
         self.relation_by_id(RelId(rel.0 as u32))
             .estimate_v(pattern, ver.span())
-    }
-
-    fn cursor_before_last_rel(&self, rel: DbRel, n: usize) -> u64 {
-        u64::from(
-            self.relation_by_id(RelId(rel.0 as u32))
-                .cursor_before_last(n),
-        )
     }
 
     fn any_match_rel(&self, rel: DbRel, pattern: &[Option<Value>]) -> bool {
@@ -262,11 +211,6 @@ impl Db for PairDb<'_> {
         side.relation_by_id(id).estimate_v(pattern, ver.span())
     }
 
-    fn cursor_before_last_rel(&self, rel: DbRel, n: usize) -> u64 {
-        let (side, id) = self.decode(rel);
-        u64::from(side.relation_by_id(id).cursor_before_last(n))
-    }
-
     fn any_match_rel(&self, rel: DbRel, pattern: &[Option<Value>]) -> bool {
         let (side, id) = self.decode(rel);
         side.relation_by_id(id).any_match(pattern)
@@ -290,15 +234,22 @@ mod tests {
         let mut b = Instance::new();
         b.add("T", vec![Value::int(2)]).unwrap();
         let db = PairDb::new(&a, &b);
-        assert_eq!(db.scan_relation("S", &[None]).len(), 1);
-        assert_eq!(db.scan_relation("T", &[None]).len(), 1);
-        assert!(db.scan_relation("U", &[None]).is_empty());
-        assert!(db.any_match_relation("S", &[Some(Value::int(1))]));
-        assert!(!db.any_match_relation("S", &[Some(Value::int(9))]));
-        assert_eq!(db.relation_len("S"), 1);
-        assert_eq!(db.relation_len("U"), 0);
-        assert_eq!(db.estimate_relation("T", &[None]), 1);
-        assert_eq!(db.estimate_relation("U", &[None]), 0);
+        let (s, t) = (db.resolve("S").unwrap(), db.resolve("T").unwrap());
+        let count = |rel| {
+            let mut n = 0;
+            db.scan_rel(rel, &[None], &mut |_| {
+                n += 1;
+                Control::Continue
+            });
+            n
+        };
+        assert_eq!((count(s), count(t)), (1, 1));
+        // An absent relation resolves to nothing: it is empty.
+        assert!(db.resolve("U").is_none());
+        assert!(db.any_match_rel(s, &[Some(Value::int(1))]));
+        assert!(!db.any_match_rel(s, &[Some(Value::int(9))]));
+        assert_eq!(db.len_rel(s), 1);
+        assert_eq!(db.estimate_rel(t, &[None]), 1);
     }
 
     #[test]
@@ -335,7 +286,8 @@ mod tests {
         let b = Instance::new();
         let db = PairDb::new(&a, &b);
         let s = db.resolve("S").unwrap();
-        let c = db.cursor_before_last_rel(s, 2);
+        // S fills slots 0..6; the new half at cursor 4 is the last two.
+        let c = 4;
         let collect = |ver: Ver| {
             let mut out = Vec::new();
             db.scan_rel_v(s, &[None], ver, &mut |t| {
@@ -348,8 +300,8 @@ mod tests {
         assert_eq!(collect(Ver::Old(c)).len(), 4);
         assert_eq!(collect(Ver::All).len(), 6);
         assert_eq!(db.estimate_rel_v(s, &[None], Ver::New(c)), 2);
-        // n = 0 puts everything in the old half.
-        let frontier = db.cursor_before_last_rel(s, 0);
+        // The frontier puts everything in the old half.
+        let frontier = u64::from(a.relation("S").unwrap().frontier());
         assert!(collect(Ver::New(frontier)).is_empty());
         assert_eq!(collect(Ver::Old(frontier)).len(), 6);
     }

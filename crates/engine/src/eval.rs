@@ -181,44 +181,34 @@ pub fn evaluate_body_streaming(
 }
 
 /// Delta-seeded semi-naive evaluation: enumerate solutions of `body` that
-/// use at least one tuple of `deltas` in a positive atom, each solution
-/// exactly once.
+/// use at least one *new* tuple in a positive atom, each solution exactly
+/// once.
 ///
-/// `deltas` maps relation names to the tuples inserted since the premise
-/// was last checked. For every positive atom whose predicate has a delta
-/// entry, each delta tuple is bound to that atom (the *anchor*) and the
-/// remaining literals are joined with the semi-naive version split:
-/// positive atoms **before** the anchor that read a delta relation see only
-/// that relation's *old* half ([`Ver::Old`] of the cursor that excludes the
-/// delta), atoms after the anchor and non-delta atoms see everything, and
+/// `deltas` pairs relation names with version cursors: a relation's new
+/// half ([`Ver::New`] of its cursor) holds the tuples appended since the
+/// premise was last checked. For every positive atom whose predicate has a
+/// cursor, each new tuple is bound to that atom (the *anchor*, scanned over
+/// the new half) and the remaining literals are joined with the semi-naive
+/// version split: positive atoms **before** the anchor that read a delta
+/// relation see only that relation's *old* half ([`Ver::Old`] of the same
+/// cursor), atoms after the anchor and non-delta atoms see everything, and
 /// negations/comparisons always check the full database. A solution whose
 /// first (in body position order) new tuple sits at position `p` is
 /// therefore enumerated only with `p` as the anchor — at any later anchor,
-/// position `p` reads the old half, which excludes its tuple. No caller-side
-/// deduplication is needed; the chase scheduler asserts this in debug
-/// builds.
-///
-/// The versioning relies on the scheduler's claim discipline: each delta
-/// list holds exactly the relation's most recently inserted tuples, so
-/// [`Db::cursor_before_last_rel`] of the list length separates the relation
-/// into "everything except this delta" and "this delta".
+/// position `p` reads the old half, which excludes its tuple. No
+/// caller-side deduplication is needed; the chase scheduler asserts this
+/// in debug builds.
 ///
 /// This is the entry point of the delta-driven chase scheduler in
 /// `grom-chase`: instead of rescanning a dependency's premise against the
 /// whole instance every round, the scheduler seeds evaluation from the
-/// tuples inserted since the premise was last checked.
-///
-/// Returns the number of delta tuples skipped by the anchor arity check —
-/// stale entries logged before their relation's arity drifted. Callers
-/// surface this in their statistics (`ChaseStats::stale_delta_skipped` in
-/// the chase) instead of dropping the tuples silently; each stale tuple
-/// counts once, regardless of how many anchor positions its relation has.
+/// tuples appended since the premise was last checked.
 pub fn evaluate_body_from_delta(
     db: &impl Db,
     body: &[Literal],
-    deltas: &[(&str, &[grom_data::Tuple])],
+    deltas: &[(&str, u64)],
     mut visit: impl FnMut(&Bindings) -> Control,
-) -> usize {
+) {
     let mut bindable: BTreeSet<Var> = BTreeSet::new();
     for lit in body {
         if let Literal::Pos(a) = lit {
@@ -227,78 +217,59 @@ pub fn evaluate_body_from_delta(
     }
 
     let rels = resolve_body(db, body);
-    // Old/new cursor per delta relation, computed once against the current
-    // database state. Absent relations get no cursor; their premise atoms
-    // cannot match stored tuples anyway, so they keep the unversioned view.
-    let cursors: BTreeMap<&str, u64> = deltas
-        .iter()
-        .filter_map(|(name, tuples)| {
-            let rel = rels.get(name).copied().flatten()?;
-            Some((*name, db.cursor_before_last_rel(rel, tuples.len())))
-        })
-        .collect();
-
-    let mut stale_skipped = 0;
-    let mut counted: BTreeSet<&str> = BTreeSet::new();
+    let cursor_of = |name: &str| deltas.iter().find(|(n, _)| *n == name).map(|&(_, c)| c);
     let mut bindings = Bindings::new();
+    let mut pattern: Vec<Option<grom_data::Value>> = Vec::new();
     for anchor in 0..body.len() {
         let Literal::Pos(atom) = &body[anchor] else {
             continue;
         };
-        let Some((_, delta_tuples)) = deltas
-            .iter()
-            .find(|(name, _)| *name == atom.predicate.as_ref())
-        else {
+        // An absent relation has no new tuples to anchor on.
+        let (Some(cursor), Some(Some(rel))) = (
+            cursor_of(atom.predicate.as_ref()),
+            rels.get(atom.predicate.as_ref()),
+        ) else {
             continue;
         };
-        // Stale tuples are counted at their relation's first anchor
-        // position only, so the count reflects tuples, not re-visits.
-        let count_stale_here = counted.insert(atom.predicate.as_ref());
         let mut remaining: Vec<(&Literal, Ver)> = body
             .iter()
             .enumerate()
             .filter(|&(i, _)| i != anchor)
             .map(|(i, l)| {
                 let ver = match l {
-                    Literal::Pos(a) if i < anchor => cursors
-                        .get(a.predicate.as_ref())
-                        .map_or(Ver::All, |&c| Ver::Old(c)),
+                    Literal::Pos(a) if i < anchor => {
+                        cursor_of(a.predicate.as_ref()).map_or(Ver::All, Ver::Old)
+                    }
                     _ => Ver::All,
                 };
                 (l, ver)
             })
             .collect();
-        for tuple in *delta_tuples {
-            if tuple.arity() != atom.args.len() {
-                // Stale delta from an arity-drifted relation: counted, not
-                // silently dropped.
-                if count_stale_here {
-                    stale_skipped += 1;
-                }
-                continue;
-            }
-            // One Bindings reused across delta tuples: cleared (keeping its
-            // allocation) instead of rebuilt, and there is nothing to
+        bindings.clear();
+        bindings.atom_pattern_into(atom, &mut pattern);
+        let mut ctrl = Control::Continue;
+        db.scan_rel_v(*rel, &pattern, Ver::New(cursor), &mut |tuple| {
+            // One Bindings reused across anchor tuples: cleared (keeping
+            // its allocation) instead of rebuilt, and there is nothing to
             // unwind after the solve — the solve restores everything it
             // binds beyond the anchor.
             bindings.clear();
-            if bind_tuple(atom, tuple, &mut bindings).is_none() {
-                continue;
+            if bind_tuple(atom, tuple, &mut bindings).is_some() {
+                ctrl = solve(
+                    db,
+                    &mut remaining,
+                    &mut bindings,
+                    &rels,
+                    &bindable,
+                    &mut visit,
+                );
             }
-            if solve(
-                db,
-                &mut remaining,
-                &mut bindings,
-                &rels,
-                &bindable,
-                &mut visit,
-            ) == Control::Stop
-            {
-                return stale_skipped;
-            }
+            ctrl
+        });
+        if ctrl == Control::Stop {
+            return;
         }
     }
-    stale_skipped
 }
 
 /// Is `lit` ready to run as a filter under `bindings`?
@@ -634,85 +605,66 @@ mod tests {
         assert_eq!(sols[0].get(&"x".into()), Some(&Value::null(0)));
     }
 
-    #[test]
-    fn delta_seeding_restricts_to_new_tuples() {
-        let inst = db();
-        // Paths E(x,y), E(y,z) anchored at the new edge (2, 3): it can play
-        // either role, giving 1->2->3 and 2->3->4.
-        let body = vec![
-            Literal::Pos(atom("E", &["x", "y"])),
-            Literal::Pos(atom("E", &["y", "z"])),
-        ];
-        let delta = vec![grom_data::Tuple::new(vec![Value::int(2), Value::int(3)])];
+    /// `body`'s delta-seeded solutions over `inst`, in enumeration order.
+    fn delta_solutions(inst: &Instance, body: &[Literal], deltas: &[(&str, u64)]) -> Vec<Bindings> {
         let mut sols = Vec::new();
-        evaluate_body_from_delta(&inst, &body, &[("E", &delta)], |b| {
+        evaluate_body_from_delta(inst, body, deltas, |b| {
             sols.push(b.clone());
             Control::Continue
         });
-        assert_eq!(sols.len(), 2);
-        for s in &sols {
-            let y = s.get(&"y".into()).unwrap().as_int().unwrap();
-            assert!(y == 2 || y == 3);
-        }
-        // A delta on an unrelated relation seeds nothing.
-        let mut count = 0;
-        evaluate_body_from_delta(&inst, &body, &[("L", &delta)], |_| {
-            count += 1;
-            Control::Continue
-        });
-        assert_eq!(count, 0);
+        sols
+    }
+
+    fn int(b: &Bindings, var: &str) -> i64 {
+        b.get(&var.into()).unwrap().as_int().unwrap()
     }
 
     #[test]
-    fn delta_seeding_counts_stale_arity_skips() {
-        let inst = db();
-        // E has arity 2; a unary delta tuple is stale and must be counted
-        // once — not once per anchor position — and never silently dropped.
+    fn delta_seeding_restricts_to_new_tuples() {
+        // The graph of `db()` with the edge (2, 3) appended last (slot 3):
+        // paths E(x,y), E(y,z) anchored at it can use it in either role,
+        // giving 1->2->3 and 2->3->4.
+        let mut inst = Instance::new();
+        for (a, b) in [(1, 2), (3, 4), (1, 3), (2, 3)] {
+            inst.add("E", vec![Value::int(a), Value::int(b)]).unwrap();
+        }
         let body = vec![
             Literal::Pos(atom("E", &["x", "y"])),
             Literal::Pos(atom("E", &["y", "z"])),
         ];
-        let delta = vec![
-            grom_data::Tuple::new(vec![Value::int(2)]),
-            grom_data::Tuple::new(vec![Value::int(2), Value::int(3)]),
-        ];
-        let mut sols = 0;
-        let skipped = evaluate_body_from_delta(&inst, &body, &[("E", &delta)], |_| {
-            sols += 1;
-            Control::Continue
-        });
-        assert_eq!(skipped, 1); // the stale tuple, once despite two anchors
-        assert_eq!(sols, 2); // the well-formed tuple still seeds matches
-        let skipped =
-            evaluate_body_from_delta(&inst, &body, &[("E", &delta[1..])], |_| Control::Continue);
-        assert_eq!(skipped, 0);
+        let sols = delta_solutions(&inst, &body, &[("E", 3)]);
+        assert_eq!(sols.len(), 2);
+        for s in &sols {
+            let y = int(s, "y");
+            assert!(y == 2 || y == 3);
+        }
+        // A delta on an unrelated relation seeds nothing.
+        assert!(delta_solutions(&inst, &body, &[("L", 0)]).is_empty());
+        // Nor does an empty new half.
+        assert!(delta_solutions(&inst, &body, &[("E", 4)]).is_empty());
     }
 
     #[test]
     fn delta_seeding_respects_constants_and_stop() {
-        let inst = db();
+        // L's new half (from slot 2) holds (1, "a") and (2, "b"); only the
+        // "a"-labeled one matches the constant.
+        let mut inst = Instance::new();
+        for (n, l) in [(3, "a"), (4, "b"), (1, "a"), (2, "b")] {
+            inst.add("L", vec![Value::int(n), Value::str(l)]).unwrap();
+        }
         let body = vec![Literal::Pos(Atom::new(
             "L",
             vec![Term::var("n"), Term::cons("a")],
         ))];
-        // Two delta tuples; only the "a"-labeled one matches the constant.
-        let delta = vec![
-            grom_data::Tuple::new(vec![Value::int(1), Value::str("a")]),
-            grom_data::Tuple::new(vec![Value::int(2), Value::str("b")]),
-        ];
-        let mut sols = Vec::new();
-        evaluate_body_from_delta(&inst, &body, &[("L", &delta)], |b| {
-            sols.push(b.clone());
-            Control::Continue
-        });
+        let sols = delta_solutions(&inst, &body, &[("L", 2)]);
         assert_eq!(sols.len(), 1);
         assert_eq!(sols[0].get(&"n".into()), Some(&Value::int(1)));
 
         // Early stop is honored across anchors and tuples.
+        let inst = db();
         let body = vec![Literal::Pos(atom("E", &["x", "y"]))];
-        let delta: Vec<grom_data::Tuple> = inst.tuples("E").cloned().collect();
         let mut count = 0;
-        evaluate_body_from_delta(&inst, &body, &[("E", &delta)], |_| {
+        evaluate_body_from_delta(&inst, &body, &[("E", 0)], |_| {
             count += 1;
             Control::Stop
         });
@@ -721,28 +673,20 @@ mod tests {
 
     #[test]
     fn delta_seeding_enumerates_each_match_exactly_once() {
-        // E = (0,1), (1,2), (2,3); the trailing two rows are the delta. The
-        // path body E(x,y), E(y,z) has two anchors over E, and the match
-        // (1,2)-(2,3) uses delta tuples at *both* positions: the old
-        // per-anchor enumeration yielded it twice, the semi-naive split must
+        // E = (0,1), (1,2), (2,3); the trailing two rows are new. The path
+        // body E(x,y), E(y,z) has two anchors over E, and the match
+        // (1,2)-(2,3) uses new tuples at *both* positions: a per-anchor
+        // enumeration would yield it twice, the semi-naive split must
         // yield it only at its first new position (anchor 0).
         let mut inst = Instance::new();
         for (a, b) in [(0, 1), (1, 2), (2, 3)] {
             inst.add("E", vec![Value::int(a), Value::int(b)]).unwrap();
         }
-        let delta = vec![
-            grom_data::Tuple::new(vec![Value::int(1), Value::int(2)]),
-            grom_data::Tuple::new(vec![Value::int(2), Value::int(3)]),
-        ];
         let body = vec![
             Literal::Pos(atom("E", &["x", "y"])),
             Literal::Pos(atom("E", &["y", "z"])),
         ];
-        let mut sols = Vec::new();
-        evaluate_body_from_delta(&inst, &body, &[("E", &delta)], |b| {
-            sols.push(b.clone());
-            Control::Continue
-        });
+        let sols = delta_solutions(&inst, &body, &[("E", 1)]);
         // (0,1)-(1,2) anchored at position 1, (1,2)-(2,3) anchored at
         // position 0 — and nowhere else.
         assert_eq!(sols.len(), 2);
@@ -757,18 +701,40 @@ mod tests {
         let mut inst = Instance::new();
         inst.add("R", vec![Value::int(1), Value::int(2)]).unwrap();
         inst.add("S", vec![Value::int(2), Value::int(3)]).unwrap();
-        let dr = vec![grom_data::Tuple::new(vec![Value::int(1), Value::int(2)])];
-        let ds = vec![grom_data::Tuple::new(vec![Value::int(2), Value::int(3)])];
         let body = vec![
             Literal::Pos(atom("R", &["x", "y"])),
             Literal::Pos(atom("S", &["y", "z"])),
         ];
-        let mut count = 0;
-        evaluate_body_from_delta(&inst, &body, &[("R", &dr), ("S", &ds)], |_| {
-            count += 1;
-            Control::Continue
-        });
-        assert_eq!(count, 1);
+        assert_eq!(
+            delta_solutions(&inst, &body, &[("R", 0), ("S", 0)]).len(),
+            1
+        );
+    }
+
+    #[test]
+    fn delta_seeding_starts_past_tombstoned_slots() {
+        // E = (N0, 2) at slot 0 and (5, 6) at slot 1. Substituting N0 := 1
+        // tombstones slot 0 and re-appends (1, 2) at slot 2; the edge
+        // (2, 3) then lands at slot 3, the new half from the frontier 3.
+        let mut inst = Instance::new();
+        inst.add("E", vec![Value::null(0), Value::int(2)]).unwrap();
+        inst.add("E", vec![Value::int(5), Value::int(6)]).unwrap();
+        inst.substitute_nulls(|id| (id == grom_data::NullId(0)).then(|| Value::int(1)));
+        let cursor = inst.relation("E").unwrap().frontier();
+        assert_eq!(cursor, 3);
+        inst.add("E", vec![Value::int(2), Value::int(3)]).unwrap();
+        let body = vec![
+            Literal::Pos(atom("E", &["x", "y"])),
+            Literal::Pos(atom("E", &["y", "z"])),
+        ];
+        // Only (2, 3) anchors; the rewritten (1, 2) below the cursor joins
+        // it from the old half, exactly once.
+        let sols = delta_solutions(&inst, &body, &[("E", u64::from(cursor))]);
+        assert_eq!(sols.len(), 1);
+        assert_eq!(
+            (int(&sols[0], "x"), int(&sols[0], "y"), int(&sols[0], "z")),
+            (1, 2, 3)
+        );
     }
 
     #[test]

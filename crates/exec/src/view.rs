@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use grom_data::{DataError, DeltaLog, Instance, RelId, Relation, Tuple, Value};
+use grom_data::{DataError, Instance, RelId, Relation, Tuple, Value};
 use grom_engine::{Control, Db, DbRel, Ver};
 
 /// How one view reaches one relation.
@@ -29,8 +29,6 @@ enum Access<'a> {
 pub struct OwnedView<'a> {
     names: &'a BTreeMap<Arc<str>, RelId>,
     rels: Vec<Access<'a>>,
-    /// Tuples inserted since the last [`Store::take_delta`].
-    log: DeltaLog,
     /// Insert attempts rejected as duplicates, a function of the relation
     /// contents only — deterministic across thread counts.
     dedup_hits: u64,
@@ -63,7 +61,6 @@ impl<'a> OwnedView<'a> {
             .map(|rels| OwnedView {
                 names,
                 rels,
-                log: DeltaLog::default(),
                 dedup_hits: 0,
             })
             .collect()
@@ -101,10 +98,6 @@ impl Db for OwnedView<'_> {
         self.rel(rel).estimate_v(pattern, ver.span())
     }
 
-    fn cursor_before_last_rel(&self, rel: DbRel, n: usize) -> u64 {
-        u64::from(self.rel(rel).cursor_before_last(n))
-    }
-
     fn any_match_rel(&self, rel: DbRel, pattern: &[Option<Value>]) -> bool {
         self.rel(rel).any_match(pattern)
     }
@@ -117,11 +110,12 @@ impl Db for OwnedView<'_> {
 /// Where a chase job writes: the whole instance, or a group's ownership
 /// view.
 pub trait Store: Db {
-    /// Insert a tuple; returns whether it was new. New tuples are logged
-    /// for [`Store::take_delta`].
+    /// Insert a tuple; returns whether it was new. A new tuple is appended
+    /// at its relation's [`Relation::frontier`].
     fn insert(&mut self, relation: &Arc<str>, tuple: Tuple) -> Result<bool, DataError>;
-    /// Drain the tuples inserted since the last drain.
-    fn take_delta(&mut self) -> DeltaLog;
+    /// The relation named `relation`, if it exists: what version cursors
+    /// are taken from and counted against.
+    fn relation(&self, relation: &str) -> Option<&Relation>;
     /// Insert attempts rejected as duplicates so far; only ownership views
     /// count them.
     fn dedup_hits(&self) -> u64;
@@ -135,8 +129,8 @@ impl Store for Instance {
         Instance::insert(self, relation, tuple)
     }
 
-    fn take_delta(&mut self) -> DeltaLog {
-        Instance::take_delta(self)
+    fn relation(&self, relation: &str) -> Option<&Relation> {
+        Instance::relation(self, relation)
     }
 
     fn dedup_hits(&self) -> u64 {
@@ -164,16 +158,11 @@ impl Store for OwnedView<'_> {
             self.dedup_hits += 1;
             return Ok(false);
         }
-        let logged = tuple.clone();
-        let new = rel.insert(relation, tuple)?;
-        if new {
-            self.log.record(relation, logged);
-        }
-        Ok(new)
+        rel.insert(relation, tuple)
     }
 
-    fn take_delta(&mut self) -> DeltaLog {
-        std::mem::take(&mut self.log)
+    fn relation(&self, relation: &str) -> Option<&Relation> {
+        self.resolve(relation).map(|rel| self.rel(rel))
     }
 
     fn dedup_hits(&self) -> u64 {
@@ -217,9 +206,11 @@ mod tests {
         assert!(a[0].insert(&Arc::from("R"), t(4)).unwrap());
         assert!(b[0].insert(&Arc::from("T"), t(5)).unwrap());
         // Both views read the shared relation; each sees its own writes.
-        assert!(a[0].any_match_relation("S", &[Some(v(2))]));
-        assert!(b[0].any_match_relation("S", &[Some(v(2))]));
-        assert_eq!((a[0].relation_len("R"), b[0].relation_len("T")), (2, 2));
+        let s = a[0].resolve("S").unwrap();
+        assert!(a[0].any_match_rel(s, &[Some(v(2))]));
+        assert!(b[0].any_match_rel(s, &[Some(v(2))]));
+        let (r, tt) = (a[0].resolve("R").unwrap(), b[0].resolve("T").unwrap());
+        assert_eq!((a[0].len_rel(r), b[0].len_rel(tt)), (2, 2));
         drop(views);
         // The writes landed in the master instance itself.
         assert!(inst.contains_fact("R", &t(4)) && inst.contains_fact("T", &t(5)));
@@ -230,11 +221,13 @@ mod tests {
         let mut inst = sample();
         let mut views = OwnedView::split(&mut inst, &OWNER, 2);
         let (view, r) = (&mut views[0], Arc::from("R"));
+        let f0 = view.relation("R").unwrap().frontier();
         assert!(!view.insert(&r, t(1)).unwrap());
         assert!(view.insert(&r, t(2)).unwrap());
         assert!(!view.insert(&r, t(2)).unwrap());
-        assert_eq!(view.take_delta().len(), 1); // only the new tuple
-        assert!(view.take_delta().is_empty());
+        let rel = view.relation("R").unwrap();
+        assert_eq!(rel.frontier(), f0 + 1); // only the new tuple appends
+        assert_eq!(rel.len_from(f0), 1);
         assert_eq!(view.dedup_hits(), 2);
     }
 
@@ -300,18 +293,17 @@ mod tests {
     #[test]
     fn versioned_scans_are_slot_cuts() {
         grown(|view, r| {
-            // The new half is the trailing rows, wherever they came from.
-            let c = view.cursor_before_last_rel(r, 2);
-            assert_eq!(ints(view, r, Ver::New(c)), vec![5, 6]);
-            assert_eq!(ints(view, r, Ver::Old(c)), vec![0, 1, 2, 3, 4]);
-            assert_eq!(view.estimate_rel_v(r, &[None], Ver::New(c)), 2);
-            let c = view.cursor_before_last_rel(r, 5);
-            assert_eq!(ints(view, r, Ver::New(c)), vec![2, 3, 4, 5, 6]);
-            assert_eq!(ints(view, r, Ver::Old(c)), vec![0, 1]);
-            let c = view.cursor_before_last_rel(r, 7);
-            assert!(ints(view, r, Ver::Old(c)).is_empty());
-            let c = view.cursor_before_last_rel(r, 0);
-            assert!(ints(view, r, Ver::New(c)).is_empty());
+            // A cursor is a slot: the new half is the rows from it on,
+            // wherever they came from (0..4 the instance, 4..7 the view).
+            assert_eq!(ints(view, r, Ver::New(5)), vec![5, 6]);
+            assert_eq!(ints(view, r, Ver::Old(5)), vec![0, 1, 2, 3, 4]);
+            assert_eq!(view.estimate_rel_v(r, &[None], Ver::New(5)), 2);
+            assert_eq!(ints(view, r, Ver::New(2)), vec![2, 3, 4, 5, 6]);
+            assert_eq!(ints(view, r, Ver::Old(2)), vec![0, 1]);
+            assert!(ints(view, r, Ver::Old(0)).is_empty());
+            let frontier = u64::from(view.relation("R").unwrap().frontier());
+            assert_eq!(frontier, 7);
+            assert!(ints(view, r, Ver::New(frontier)).is_empty());
         });
     }
 }

@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 
 use grom::chase::{
-    chase_resume, chase_standard_outcome, fail, ChaseConfig, ChaseOutcome, Checkpoint,
-    InterruptReason, SchedulerMode,
+    chase_resume, chase_standard, fail, ChaseConfig, ChaseOutcome, Checkpoint, InterruptReason,
+    SchedulerMode,
 };
 use grom::data::canonical_render;
 use grom::scenarios::{generate, random_spec};
@@ -53,14 +53,14 @@ fn kill_between_insertion_and_promotion_round_trips_pending_deltas() {
 
     for mode in MODES {
         let cfg = base.clone().with_scheduler(mode);
-        let clean = match chase_standard_outcome(inst.clone(), &p.deps, &cfg) {
+        let clean = match ChaseOutcome::from_run(chase_standard(inst.clone(), &p.deps, &cfg)) {
             Ok(ChaseOutcome::Completed(r)) => r,
             other => panic!("{mode:?}: uninterrupted run did not complete: {other:?}"),
         };
         let want = canonical_render(&clean.instance);
 
         fail::install("sweep:interrupt@2").unwrap();
-        let killed = chase_standard_outcome(inst.clone(), &p.deps, &cfg);
+        let killed = ChaseOutcome::from_run(chase_standard(inst.clone(), &p.deps, &cfg));
         fail::clear();
         let interrupted = match killed {
             Ok(ChaseOutcome::Interrupted(i)) => i,
@@ -113,14 +113,14 @@ proptest! {
 
         for mode in MODES {
             let cfg = base.clone().with_scheduler(mode);
-            let clean = match chase_standard_outcome(inst.clone(), &deps, &cfg) {
+            let clean = match ChaseOutcome::from_run(chase_standard(inst.clone(), &deps, &cfg)) {
                 Ok(ChaseOutcome::Completed(r)) => r,
                 other => panic!("{mode:?}: uninterrupted run did not complete: {other:?}"),
             };
             let want = canonical_render(&clean.instance);
 
             fail::install(&format!("sweep:interrupt@{kill_sweep}")).unwrap();
-            let killed = chase_standard_outcome(inst.clone(), &deps, &cfg);
+            let killed = ChaseOutcome::from_run(chase_standard(inst.clone(), &deps, &cfg));
             fail::clear();
             match killed {
                 Ok(ChaseOutcome::Interrupted(i)) => {
