@@ -102,68 +102,7 @@ pub fn chase_greedy(
     deps: &[Dependency],
     config: &ChaseConfig,
 ) -> Result<ChaseResult, ChaseError> {
-    for dep in deps {
-        check_executable(dep, true)?;
-    }
-    let config = &campaign_config(config);
-    let (standard, deds) = split(deps);
-    if deds.is_empty() {
-        return chase_standard(start, &standard, config);
-    }
-
-    let orders = greedy_orders(&deds);
-    let mut stats = ChaseStats::default();
-
-    // Odometer over scenario space, in greedy (cheapest-first) order.
-    let mut odometer = vec![0usize; deds.len()];
-    loop {
-        if stats.scenarios_tried >= config.max_scenarios {
-            return Err(ChaseError::GreedyExhausted {
-                scenarios_tried: stats.scenarios_tried,
-                stats: Box::new(stats.clone()),
-                profile: Box::new(ChaseProfile::default()),
-            });
-        }
-        stats.scenarios_tried += 1;
-
-        let choice: Vec<usize> = odometer
-            .iter()
-            .enumerate()
-            .map(|(k, &o)| orders[k][o])
-            .collect();
-        let mut scenario_deps = standard.clone();
-        scenario_deps.extend(derive_scenario(&deds, &choice));
-
-        match chase_standard(start.clone(), &scenario_deps, config) {
-            Ok(mut result) => {
-                result.stats.scenarios_tried = stats.scenarios_tried;
-                result.stats.scenarios_failed = stats.scenarios_failed;
-                return Ok(result);
-            }
-            Err(ChaseError::Failure { .. }) => {
-                stats.scenarios_failed += 1;
-            }
-            Err(other) => return Err(other), // round limits etc. propagate
-        }
-
-        // Advance the odometer; when it wraps, the space is exhausted.
-        let mut k = deds.len();
-        loop {
-            if k == 0 {
-                return Err(ChaseError::GreedyExhausted {
-                    scenarios_tried: stats.scenarios_tried,
-                    stats: Box::new(stats.clone()),
-                    profile: Box::new(ChaseProfile::default()),
-                });
-            }
-            k -= 1;
-            odometer[k] += 1;
-            if odometer[k] < orders[k].len() {
-                break;
-            }
-            odometer[k] = 0;
-        }
-    }
+    greedy_campaign(start, deps, config, false)
 }
 
 /// Dispatch: the greedy chase when deds are present, the plain standard
@@ -197,6 +136,22 @@ pub fn chase_greedy_backjump(
     deps: &[Dependency],
     config: &ChaseConfig,
 ) -> Result<ChaseResult, ChaseError> {
+    greedy_campaign(start, deps, config, true)
+}
+
+/// The scenario campaign of both greedy strategies: an odometer over the
+/// scenario space in greedy (cheapest-first) order, one standard chase per
+/// scenario. After a failed scenario the odometer advances at the last
+/// position, carrying leftwards; with `backjump`, a failure attributable to
+/// a derived dependency advances at that ded's position instead and resets
+/// every later one. The campaign is exhausted when the odometer wraps or
+/// `max_scenarios` have been tried.
+fn greedy_campaign(
+    start: Instance,
+    deps: &[Dependency],
+    config: &ChaseConfig,
+    backjump: bool,
+) -> Result<ChaseResult, ChaseError> {
     for dep in deps {
         check_executable(dep, true)?;
     }
@@ -209,15 +164,7 @@ pub fn chase_greedy_backjump(
     let orders = greedy_orders(&deds);
     let mut stats = ChaseStats::default();
     let mut odometer = vec![0usize; deds.len()];
-
-    loop {
-        if stats.scenarios_tried >= config.max_scenarios {
-            return Err(ChaseError::GreedyExhausted {
-                scenarios_tried: stats.scenarios_tried,
-                stats: Box::new(stats.clone()),
-                profile: Box::new(ChaseProfile::default()),
-            });
-        }
+    'campaign: while stats.scenarios_tried < config.max_scenarios {
         stats.scenarios_tried += 1;
 
         let choice: Vec<usize> = odometer
@@ -226,13 +173,9 @@ pub fn chase_greedy_backjump(
             .map(|(k, &o)| orders[k][o])
             .collect();
         let mut scenario_deps = standard.clone();
-        let derived = derive_scenario(&deds, &choice);
-        // name of the derived dep -> ded index, to locate failures.
-        let derived_names: Vec<std::sync::Arc<str>> =
-            derived.iter().map(|d| d.name.clone()).collect();
-        scenario_deps.extend(derived);
+        scenario_deps.extend(derive_scenario(&deds, &choice));
 
-        let failed_at = match chase_standard(start.clone(), &scenario_deps, config) {
+        let failed = match chase_standard(start.clone(), &scenario_deps, config) {
             Ok(mut result) => {
                 result.stats.scenarios_tried = stats.scenarios_tried;
                 result.stats.scenarios_failed = stats.scenarios_failed;
@@ -240,13 +183,15 @@ pub fn chase_greedy_backjump(
             }
             Err(ChaseError::Failure { dependency, .. }) => {
                 stats.scenarios_failed += 1;
-                derived_names.iter().position(|n| *n == dependency)
+                dependency
             }
-            Err(other) => return Err(other),
+            Err(other) => return Err(other), // round limits etc. propagate
         };
 
-        // Backjump: advance at the failing ded (or the last position when
-        // the failure is not attributable), resetting later positions.
+        // The derived dependencies follow the standard ones, in ded order.
+        let failed_at = scenario_deps[standard.len()..]
+            .iter()
+            .position(|d| backjump && d.name == failed);
         let mut k = failed_at.unwrap_or(deds.len() - 1);
         for slot in odometer.iter_mut().skip(k + 1) {
             *slot = 0;
@@ -258,15 +203,16 @@ pub fn chase_greedy_backjump(
             }
             odometer[k] = 0;
             if k == 0 {
-                return Err(ChaseError::GreedyExhausted {
-                    scenarios_tried: stats.scenarios_tried,
-                    stats: Box::new(stats.clone()),
-                    profile: Box::new(ChaseProfile::default()),
-                });
+                break 'campaign;
             }
             k -= 1;
         }
     }
+    Err(ChaseError::GreedyExhausted {
+        scenarios_tried: stats.scenarios_tried,
+        stats: Box::new(stats),
+        profile: Box::new(ChaseProfile::default()),
+    })
 }
 
 /// Find the first ded violation in `inst`: `(ded index, premise match)`.

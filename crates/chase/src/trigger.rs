@@ -16,7 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-use grom_data::Instance;
+use grom_data::{Instance, Relation};
 use grom_lang::{Dependency, Literal, Term, Var};
 
 /// Relation name → indices of the dependencies whose premise mentions it
@@ -70,13 +70,14 @@ impl TriggerIndex {
 /// positions the evaluator's scan patterns bind when that atom is joined
 /// last. For a disjunct (conclusion) atom, the probe keys are constants and
 /// universal variables: satisfaction checks scan conclusions with premise
-/// bindings seeded. Only sets of ≥ 2 positions are reported; single
-/// columns are already covered by the per-column indexes.
+/// bindings seeded. Only sets of ≥ 2 positions are reported, normalized by
+/// [`Relation::composite_key`]: every relation keys each single column
+/// eagerly, and a set of all its columns shares its membership key.
 pub fn join_keys(deps: &[Dependency]) -> BTreeMap<Arc<str>, BTreeSet<Vec<usize>>> {
     let mut out: BTreeMap<Arc<str>, BTreeSet<Vec<usize>>> = BTreeMap::new();
     let add =
         |out: &mut BTreeMap<Arc<str>, BTreeSet<Vec<usize>>>, rel: &Arc<str>, cols: Vec<usize>| {
-            if cols.len() >= 2 {
+            if let Some(cols) = Relation::composite_key(cols) {
                 out.entry(rel.clone()).or_default().insert(cols);
             }
         };
@@ -131,7 +132,7 @@ pub fn join_keys(deps: &[Dependency]) -> BTreeMap<Arc<str>, BTreeSet<Vec<usize>>
     out
 }
 
-/// Install the [`join_keys`] of `deps` as composite-key indexes on `inst`.
+/// Install the [`join_keys`] of `deps` as composite keys on `inst`.
 /// Relations that do not exist yet remember the registration and build the
 /// index when first created (see [`Instance::register_key`]). The chase
 /// dispatcher calls this once per run, before the first sweep.

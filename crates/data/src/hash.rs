@@ -1,8 +1,8 @@
 //! A fast, non-cryptographic hasher for the storage-internal maps.
 //!
-//! The relation index maps, the tuple membership map and the symbol table
-//! hash on every insert and every probe — the hottest loops of the whole
-//! engine. They key on data the engine generated itself (tuples, values,
+//! The relation keys (column, membership and composite join keys alike)
+//! and the symbol table hash on every insert and every probe — the hottest
+//! loops of the whole engine. They key on data the engine generated itself (tuples, values,
 //! interned symbols), so the HashDoS resistance of the std `SipHash`
 //! default buys nothing here; this is the word-folding FxHash algorithm
 //! used by the Rust compiler for the same reason. Do **not** use it for

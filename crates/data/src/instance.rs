@@ -1,12 +1,14 @@
 //! In-memory database instances.
 //!
 //! An [`Instance`] maps relation names to [`Relation`]s: deduplicated,
-//! insertion-ordered tuple sets with eager per-column hash indexes plus
-//! optional **composite-key indexes** on the join-key position sets the
-//! chase's static trigger analysis knows about. The indexes are what make
-//! the nested-loop joins of `grom-engine` and the violation search of
-//! `grom-chase` tolerable on instances with hundreds of thousands of
-//! tuples.
+//! insertion-ordered tuple sets indexed by one kind of **key**: a hash of
+//! some columns' values → the ascending slots of the rows holding them.
+//! Every relation keeps one such key per column and one over all columns
+//! (its membership test), plus the composite join keys the chase's static
+//! trigger analysis registers. The keys are what make the nested-loop
+//! joins of `grom-engine` and the violation search of `grom-chase`
+//! tolerable on instances with hundreds of thousands of tuples; each
+//! tuple is stored once, in its relation's slot vector.
 //!
 //! Relation names resolve once to a dense [`RelId`]; hot-path callers (the
 //! redesigned `Db` trait in `grom-engine`) resolve a name a single time per
@@ -17,9 +19,9 @@
 //! for every rendering path.
 //!
 //! Null substitution is *surgical*: only null-bearing rows are rewritten
-//! (located through the column indexes), leaving tombstones behind instead
+//! (located through the column keys), leaving tombstones behind instead
 //! of rebuilding whole relations; a junk counter triggers compaction when
-//! tombstones and stale index entries accumulate.
+//! tombstones and stale bucket entries accumulate.
 //!
 //! Instances are *schema-less* at this layer: the first tuple inserted into
 //! a relation fixes its arity, and later inserts are checked against it.
@@ -66,46 +68,77 @@ pub enum Span {
     AtLeast(u32),
 }
 
-/// A composite-key hash index over a set of column positions.
+/// A hash index over a set of column positions: the hash of a tuple's
+/// values at `cols` → the slots of the rows holding them, ascending.
 ///
-/// Buckets are keyed by a 64-bit hash of the key values rather than the
-/// values themselves: no allocation or `Value` clone per insert/probe, at
-/// the price of possible collisions — which are safe, because every reader
-/// re-checks the full pattern against the live tuple (the same contract
-/// stale buckets already impose).
+/// It is the only index kind a [`Relation`] keeps. Buckets are keyed by a
+/// 64-bit hash of the key values rather than the values themselves: no
+/// `Value` clone per insert and no allocation per probe, at the price of
+/// possible collisions — which are safe, because every reader re-checks
+/// the live tuple (the same contract stale buckets already impose).
 #[derive(Debug, Clone)]
 struct KeyIndex {
-    /// Sorted, deduplicated column positions (always ≥ 2 of them; single
-    /// columns are covered by the per-column indexes).
-    cols: Vec<usize>,
+    /// Sorted, deduplicated column positions; clones of a relation share
+    /// them.
+    cols: Arc<[usize]>,
     /// Hash of the values at `cols` (in order) → row ids.
     map: FxHashMap<u64, Vec<u32>>,
 }
 
-/// Hash a sequence of key values into one composite bucket key.
-fn composite_hash<'a>(values: impl Iterator<Item = &'a Value>) -> u64 {
+/// Hash a sequence of key values into one bucket key; `None` if any value
+/// is missing (an unbound pattern position, or a tuple too short).
+fn key_hash<'a>(values: impl Iterator<Item = Option<&'a Value>>) -> Option<u64> {
     let mut h = FxHasher::default();
     for v in values {
-        v.hash(&mut h);
+        v?.hash(&mut h);
     }
-    h.finish()
+    Some(h.finish())
 }
 
 impl KeyIndex {
-    fn key_of(&self, tuple: &Tuple) -> u64 {
-        composite_hash(self.cols.iter().map(|&c| &tuple.values()[c]))
+    fn new(cols: Vec<usize>) -> Self {
+        Self {
+            cols: cols.into(),
+            map: FxHashMap::default(),
+        }
+    }
+
+    /// The bucket key of `tuple`, or `None` if the tuple lacks a key column.
+    fn key_of(&self, tuple: &Tuple) -> Option<u64> {
+        key_hash(self.cols.iter().map(|&c| tuple.get(c)))
+    }
+
+    /// The bucket key of `pattern`, if it binds every key column.
+    fn probe(&self, pattern: &[Option<Value>]) -> Option<u64> {
+        key_hash(self.cols.iter().map(|&c| pattern.get(c)?.as_ref()))
+    }
+
+    fn bucket(&self, key: u64) -> &[u32] {
+        self.map.get(&key).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    fn push(&mut self, tuple: &Tuple, row_id: u32) {
+        let key = self.key_of(tuple).expect("arity checked on insert");
+        self.map.entry(key).or_default().push(row_id);
     }
 }
 
-/// One relation: an insertion-ordered set of tuples plus per-column and
-/// composite-key indexes.
+/// One relation: an insertion-ordered set of tuples plus its hashed keys.
+///
+/// Every lookup goes through one index kind, a key: the hash of some
+/// columns' values → the ascending slots of the rows holding them. The
+/// first insert fixes the arity and installs the eager keys: one
+/// single-column key per column, stored at its column's position in
+/// `keys`, then the membership key over all columns (at arity 1 that is
+/// column 0's key). Composite keys registered with
+/// [`Relation::register_key`] follow them.
 ///
 /// Rows live in a slot vector; null substitution tombstones rewritten slots
-/// (`None`) instead of rebuilding, so row ids referenced by index buckets
-/// stay valid. Buckets may contain *stale* entries (tombstoned slots, or
-/// live rows whose value changed); every reader re-checks the full pattern
-/// against the live tuple, and a junk counter triggers a full compaction
-/// when stale state outweighs live rows.
+/// (`None`) and re-appends the rewritten tuples, so row ids referenced by
+/// buckets stay valid. Buckets may contain *stale* entries (tombstoned
+/// slots) and hash collisions; every reader re-checks the live tuple, and a
+/// junk counter triggers a full compaction when tombstones outweigh live
+/// rows.
 #[derive(Debug, Clone, Default)]
 pub struct Relation {
     /// Tuple slots in insertion order; `None` is a tombstone left by null
@@ -113,16 +146,14 @@ pub struct Relation {
     rows: Vec<Option<Tuple>>,
     /// Number of live (non-tombstone) slots.
     live: usize,
-    /// Tombstones + rewritten rows whose old index entries are stale.
+    /// Tombstones whose bucket entries are stale.
     junk: usize,
-    /// Tuple → slot in `rows`, for O(1) membership tests.
-    positions: FxHashMap<Tuple, u32>,
-    /// `indexes[c][v]` = row ids whose column `c` holds (or held) value `v`.
-    indexes: Vec<FxHashMap<Value, Vec<u32>>>,
-    /// Composite-key indexes registered via [`Relation::register_key`].
+    /// The eager keys, then the registered ones; empty before the first
+    /// insert.
     keys: Vec<KeyIndex>,
-    /// Key registrations received before the arity was known.
-    requested_keys: Vec<Vec<usize>>,
+    /// The registered composite keys, normalized, in registration order.
+    /// Registrations made before the first insert wait here for the arity.
+    specs: Vec<Vec<usize>>,
     arity: Option<usize>,
 }
 
@@ -145,61 +176,72 @@ impl Relation {
     }
 
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.positions.contains_key(tuple)
+        let Some(a) = self.arity else {
+            return false;
+        };
+        // The key over all columns follows the column keys; at arity 1 it
+        // is column 0's.
+        let key = &self.keys[if a == 1 { 0 } else { a }];
+        key.key_of(tuple).is_some_and(|h| {
+            key.bucket(h)
+                .iter()
+                .any(|&r| self.rows[r as usize].as_ref() == Some(tuple))
+        })
+    }
+
+    /// Normalize a composite-key column set: positions sorted and
+    /// deduplicated. `None` for fewer than two positions, which the eager
+    /// single-column keys already cover.
+    pub fn composite_key(mut cols: Vec<usize>) -> Option<Vec<usize>> {
+        cols.sort_unstable();
+        cols.dedup();
+        (cols.len() >= 2).then_some(cols)
     }
 
     /// Register a composite-key index over `cols` (column positions of this
-    /// relation). Positions are sorted and deduplicated; sets of fewer than
-    /// two columns are ignored (the per-column indexes already cover them),
-    /// as are duplicates of an existing key and positions beyond the arity.
-    /// Existing rows are backfilled. Returns whether a new index was
-    /// installed (or queued, when the arity is not yet known).
-    pub fn register_key(&mut self, cols: &[usize]) -> bool {
-        let mut cols: Vec<usize> = cols.to_vec();
-        cols.sort_unstable();
-        cols.dedup();
-        if cols.len() < 2 {
-            return false;
-        }
-        match self.arity {
-            None => {
-                if self.requested_keys.contains(&cols) {
-                    return false;
-                }
-                self.requested_keys.push(cols);
-                true
-            }
-            Some(a) => self.install_key(cols, a),
+    /// relation), normalized by [`Relation::composite_key`]. Single columns,
+    /// repeats and positions beyond the arity are ignored. The index is
+    /// installed at once, backfilling existing rows, or on the first insert
+    /// when the arity is not yet known; a key over all columns shares the
+    /// membership key.
+    pub fn register_key(&mut self, cols: &[usize]) {
+        if let Some(cols) = Self::composite_key(cols.to_vec()) {
+            self.add_spec(cols);
         }
     }
 
-    fn install_key(&mut self, cols: Vec<usize>, arity: usize) -> bool {
-        if cols.last().is_some_and(|&c| c >= arity) {
-            return false;
+    fn add_spec(&mut self, cols: Vec<usize>) {
+        if self.specs.contains(&cols) {
+            return;
         }
-        if self.keys.iter().any(|k| k.cols == cols) {
-            return false;
+        if let Some(a) = self.arity {
+            if cols[cols.len() - 1] >= a {
+                return;
+            }
+            self.install_key(cols.clone());
         }
-        let mut key = KeyIndex {
-            cols,
-            map: FxHashMap::default(),
-        };
+        self.specs.push(cols);
+    }
+
+    /// Add an index over `cols` unless an equal one exists, backfilling the
+    /// live rows.
+    fn install_key(&mut self, cols: Vec<usize>) {
+        if self.keys.iter().any(|k| *k.cols == *cols) {
+            return;
+        }
+        let mut key = KeyIndex::new(cols);
         for (r, slot) in self.rows.iter().enumerate() {
             if let Some(t) = slot {
-                key.map.entry(key.key_of(t)).or_default().push(r as u32);
+                key.push(t, r as u32);
             }
         }
         self.keys.push(key);
-        true
     }
 
-    /// The column-position sets of the registered (and still pending)
-    /// composite-key indexes.
+    /// The column-position sets of the registered composite keys (pending
+    /// ones included).
     pub fn key_specs(&self) -> impl Iterator<Item = &[usize]> {
-        self.keys
-            .iter()
-            .map(|k| k.cols.as_slice())
-            .chain(self.requested_keys.iter().map(Vec::as_slice))
+        self.specs.iter().map(Vec::as_slice)
     }
 
     /// Insert a tuple. Returns `Ok(true)` if it was new, `Ok(false)` if it
@@ -210,9 +252,12 @@ impl Relation {
             None => {
                 let a = tuple.arity();
                 self.arity = Some(a);
-                self.indexes = vec![FxHashMap::default(); a];
-                for cols in std::mem::take(&mut self.requested_keys) {
-                    self.install_key(cols, a);
+                for c in 0..a {
+                    self.install_key(vec![c]);
+                }
+                self.install_key((0..a).collect());
+                for cols in std::mem::take(&mut self.specs) {
+                    self.add_spec(cols);
                 }
             }
             Some(a) if a != tuple.arity() => {
@@ -224,31 +269,20 @@ impl Relation {
             }
             Some(_) => {}
         }
-        if self.positions.contains_key(&tuple) {
+        if self.contains(&tuple) {
             return Ok(false);
         }
-        let row_id = self.rows.len() as u32;
-        self.place(row_id, tuple, true);
+        self.push(tuple);
         Ok(true)
     }
 
-    /// Record `tuple` at slot `row_id` in every index. With `append`, the
-    /// slot is pushed; otherwise `rows[row_id]` is overwritten.
-    fn place(&mut self, row_id: u32, tuple: Tuple, append: bool) {
-        for (c, v) in tuple.values().iter().enumerate() {
-            self.indexes[c].entry(v.clone()).or_default().push(row_id);
+    /// Append `tuple` as a new live row, recording it in every key.
+    fn push(&mut self, tuple: Tuple) {
+        let row_id = self.rows.len() as u32;
+        for key in &mut self.keys {
+            key.push(&tuple, row_id);
         }
-        for i in 0..self.keys.len() {
-            let key = self.keys[i].key_of(&tuple);
-            self.keys[i].map.entry(key).or_default().push(row_id);
-        }
-        self.positions.insert(tuple.clone(), row_id);
-        if append {
-            debug_assert_eq!(row_id as usize, self.rows.len());
-            self.rows.push(Some(tuple));
-        } else {
-            self.rows[row_id as usize] = Some(tuple);
-        }
+        self.rows.push(Some(tuple));
         self.live += 1;
     }
 
@@ -300,41 +334,14 @@ impl Relation {
         0
     }
 
-    /// Row ids whose column `col` equals (or once equaled) `value`. May
-    /// contain stale entries; readers re-check the live tuple.
-    fn rows_with(&self, col: usize, value: &Value) -> &[u32] {
-        self.indexes
-            .get(col)
-            .and_then(|ix| ix.get(value))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// The smallest index bucket usable for `pattern`: the best single
-    /// bound column, or a composite-key bucket when a registered key is
-    /// fully bound. `None` means the pattern is entirely unbound (full
-    /// scan).
+    /// The smallest bucket among the keys `pattern` binds fully: a bound
+    /// column, all columns, or a registered composite key. `None` means no
+    /// key is fully bound (full scan).
     fn best_bucket(&self, pattern: &[Option<Value>]) -> Option<&[u32]> {
         let mut best: Option<&[u32]> = None;
-        for (c, slot) in pattern.iter().enumerate() {
-            if let Some(v) = slot {
-                let b = self.rows_with(c, v);
-                if best.is_none_or(|x| b.len() < x.len()) {
-                    best = Some(b);
-                }
-            }
-        }
         for k in &self.keys {
-            if k.cols
-                .iter()
-                .all(|&c| pattern.get(c).is_some_and(Option::is_some))
-            {
-                let key = composite_hash(
-                    k.cols
-                        .iter()
-                        .map(|&c| pattern[c].as_ref().expect("checked bound")),
-                );
-                let b = k.map.get(&key).map(Vec::as_slice).unwrap_or(&[]);
+            if let Some(key) = k.probe(pattern) {
+                let b = k.bucket(key);
                 if best.is_none_or(|x| b.len() < x.len()) {
                     best = Some(b);
                 }
@@ -344,8 +351,8 @@ impl Relation {
     }
 
     /// Stream the tuples matching `pattern` into `visit`, using the most
-    /// selective available index bucket (composite keys included) and no
-    /// intermediate allocation. `visit` returns `false` to stop early;
+    /// selective bucket of any fully bound key and no intermediate
+    /// allocation. `visit` returns `false` to stop early;
     /// `scan_each` returns whether the scan ran to completion.
     ///
     /// `pattern[i] = Some(v)` requires column `i` to equal `v`; `None`
@@ -358,10 +365,10 @@ impl Relation {
         self.scan_each_v(pattern, Span::All, visit)
     }
 
-    /// [`Relation::scan_each`] restricted to one version half. Index
-    /// buckets hold row ids in ascending slot order (rows only append), so
-    /// a bucket is narrowed to the span with one `partition_point` — the
-    /// composite-key indexes stay coherent across both halves for free.
+    /// [`Relation::scan_each`] restricted to one version half. Buckets hold
+    /// row ids in ascending slot order (rows only append), so a bucket is
+    /// narrowed to the span with one `partition_point` — every key stays
+    /// coherent across both halves for free.
     pub fn scan_each_v<'a>(
         &'a self,
         pattern: &[Option<Value>],
@@ -419,11 +426,12 @@ impl Relation {
     }
 
     /// An upper bound on the number of tuples matching `pattern`, computed
-    /// from the index buckets without touching any tuple: the smallest
-    /// bucket among bound columns and fully-bound composite keys, or the
-    /// live row count when the pattern is entirely unbound. The join
+    /// from the buckets without touching any tuple: the smallest bucket
+    /// among the fully bound keys, or the live row count when the pattern
+    /// is entirely unbound. The join
     /// planner in `grom-engine` uses this as its cardinality estimate.
-    /// Stale entries may inflate the bound; never undercounts.
+    /// Stale entries and hash collisions may inflate the bound; never
+    /// undercounts.
     pub fn estimate(&self, pattern: &[Option<Value>]) -> usize {
         self.estimate_v(pattern, Span::All)
     }
@@ -454,7 +462,7 @@ impl Relation {
     }
 
     /// Rows (ascending slot order) whose tuple mentions a null mapped by
-    /// `map`. Probes the null buckets of the column indexes when the map is
+    /// `map`. Probes the null buckets of the column keys when the map is
     /// small relative to the relation; falls back to a row sweep otherwise.
     fn affected_rows(&self, map: &FxHashMap<NullId, Value>) -> Vec<u32> {
         let Some(arity) = self.arity else {
@@ -465,13 +473,14 @@ impl Relation {
         if probe_cost < self.rows.len() {
             let mut seen = BTreeSet::new();
             for id in map.keys() {
-                let needle = Value::Null(*id);
-                for c in 0..arity {
-                    seen.extend(self.rows_with(c, &needle).iter().copied());
+                // Every column key hashes one value alike.
+                let h = key_hash(std::iter::once(Some(&Value::Null(*id)))).expect("bound");
+                for key in &self.keys[..arity] {
+                    seen.extend(key.bucket(h).iter().copied());
                 }
             }
             for r in seen {
-                // Buckets may be stale: re-check the live tuple.
+                // Buckets may be stale or collide: re-check the live tuple.
                 if let Some(t) = self.rows[r as usize].as_ref() {
                     if t.nulls().any(|n| map.contains_key(&n)) {
                         out.push(r);
@@ -498,26 +507,22 @@ impl Relation {
         if affected.is_empty() {
             return false;
         }
-        // Phase 1: lift every affected row out, so phase 2's merge checks
-        // see a consistent membership map.
-        let mut taken: Vec<Tuple> = Vec::with_capacity(affected.len());
-        for &r in &affected {
-            let t = self.rows[r as usize].take().expect("affected row is live");
-            self.positions.remove(&t);
-            self.live -= 1;
-            self.junk += 1;
-            taken.push(t);
-        }
+        // Phase 1: lift every affected row out, so phase 2's membership
+        // checks see only the surviving rows.
+        let taken: Vec<Tuple> = affected
+            .iter()
+            .map(|&r| self.rows[r as usize].take().expect("affected row is live"))
+            .collect();
+        self.live -= taken.len();
+        self.junk += taken.len();
         // Phase 2: rewrite and re-append in the old slot order; tuples that
         // collide with a surviving row simply merge (their slot stays a
         // tombstone).
         for old in taken {
             let (new, _) = old.substitute_nulls(&mut |id| map.get(&id).cloned());
-            if self.positions.contains_key(&new) {
-                continue;
+            if !self.contains(&new) {
+                self.push(new);
             }
-            let row_id = self.rows.len() as u32;
-            self.place(row_id, new, true);
         }
         self.maybe_compact();
         true
@@ -529,23 +534,18 @@ impl Relation {
         }
     }
 
-    /// Rebuild rows, membership and every index from the live tuples,
-    /// dropping tombstones and stale bucket entries. Insertion order of the
-    /// survivors is preserved.
+    /// Rebuild rows and every key from the live tuples, dropping tombstones
+    /// and stale bucket entries. Insertion order of the survivors is
+    /// preserved.
     fn compact(&mut self) {
-        let arity = self.arity.unwrap_or(0);
-        let old_rows = std::mem::take(&mut self.rows);
-        self.positions.clear();
-        self.indexes = vec![FxHashMap::default(); arity];
+        let old_rows = std::mem::replace(&mut self.rows, Vec::with_capacity(self.live));
         for k in &mut self.keys {
             k.map.clear();
         }
         self.live = 0;
         self.junk = 0;
-        self.rows = Vec::with_capacity(self.positions.capacity());
         for t in old_rows.into_iter().flatten() {
-            let row_id = self.rows.len() as u32;
-            self.place(row_id, t, true);
+            self.push(t);
         }
     }
 }
@@ -558,9 +558,9 @@ pub struct Instance {
     names: BTreeMap<Arc<str>, RelId>,
     /// Relations addressed by [`RelId`], in first-insert order.
     store: Vec<(Arc<str>, Relation)>,
-    /// Composite-key registrations for relations that do not exist yet;
-    /// applied when the relation is first created.
-    pending_keys: BTreeMap<Arc<str>, Vec<Vec<usize>>>,
+    /// Empty relations holding the key registrations made for names that
+    /// do not exist yet; each becomes its relation when first created.
+    pending: BTreeMap<Arc<str>, Relation>,
 }
 
 impl Instance {
@@ -609,12 +609,7 @@ impl Instance {
         }
         let id = RelId(self.store.len() as u32);
         self.names.insert(relation.clone(), id);
-        let mut rel = Relation::new();
-        if let Some(specs) = self.pending_keys.remove(relation.as_ref()) {
-            for cols in specs {
-                rel.register_key(&cols);
-            }
-        }
+        let rel = self.pending.remove(relation.as_ref()).unwrap_or_default();
         self.store.push((relation.clone(), rel));
         id
     }
@@ -643,21 +638,12 @@ impl Instance {
     /// relation is materialized.
     pub fn register_key(&mut self, relation: &str, cols: &[usize]) {
         match self.names.get(relation) {
-            Some(&id) => {
-                self.store[id.0 as usize].1.register_key(cols);
-            }
-            None => {
-                let mut cols: Vec<usize> = cols.to_vec();
-                cols.sort_unstable();
-                cols.dedup();
-                if cols.len() < 2 {
-                    return;
-                }
-                let entry = self.pending_keys.entry(Arc::from(relation)).or_default();
-                if !entry.contains(&cols) {
-                    entry.push(cols);
-                }
-            }
+            Some(&id) => self.store[id.0 as usize].1.register_key(cols),
+            None => self
+                .pending
+                .entry(Arc::from(relation))
+                .or_default()
+                .register_key(cols),
         }
     }
 
@@ -781,7 +767,7 @@ impl Instance {
     /// surgical pass: `map` sends each mapped label directly to its final
     /// value (no chains — the caller collapses them once, e.g. with the
     /// chase's `NullMap::flatten`). Only the rows that actually mention a
-    /// mapped null are rewritten — located through the column indexes —
+    /// mapped null are rewritten — located through the column keys —
     /// instead of rebuilding whole relations; tuples that become equal
     /// after substitution merge, leaving tombstones that compaction reclaims.
     ///
@@ -992,9 +978,21 @@ mod tests {
         let mut inst = Instance::new();
         inst.register_key("R", &[1, 1]); // dedups to one column: ignored
         inst.register_key("R", &[0, 5]); // out of range once arity known
-        inst.add("R", vec![v(1), v(2)]).unwrap();
+        inst.add("R", vec![v(1), v(2), v(3)]).unwrap();
+        inst.register_key("R", &[2]); // one column: the eager key covers it
+        inst.register_key("R", &[2, 0]);
+        inst.register_key("R", &[0, 2, 0]); // the same key again
         let rel = inst.relation("R").unwrap();
-        assert_eq!(rel.key_specs().count(), 0);
+        // Only registered composite keys are reported, once each.
+        assert_eq!(rel.key_specs().collect::<Vec<_>>(), vec![&[0, 2][..]]);
+        assert!(rel.any_match(&[Some(v(1)), Some(v(2)), None]));
+        // A key over all columns is reported, but shares the membership key.
+        let mut inst = Instance::new();
+        inst.register_key("S", &[1, 0]);
+        inst.add("S", vec![v(1), v(2)]).unwrap();
+        let rel = inst.relation("S").unwrap();
+        assert_eq!(rel.key_specs().collect::<Vec<_>>(), vec![&[0, 1][..]]);
+        assert_eq!(rel.keys.len(), 3); // columns 0 and 1, then membership
         assert!(rel.any_match(&[Some(v(1)), Some(v(2))]));
     }
 

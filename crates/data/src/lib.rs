@@ -2,8 +2,8 @@
 //!
 //! This crate implements the "physical databases" of the GROM architecture
 //! (Figure 2 of the paper): typed relational schemas, tuples over a small
-//! value domain extended with *labeled nulls*, and in-memory instances with
-//! per-column hash indexes.
+//! value domain extended with *labeled nulls*, and in-memory instances
+//! indexed by hashed column keys.
 //!
 //! Everything above this crate (the mapping language, the evaluation engine,
 //! the chase and the rewriter) manipulates these objects:
@@ -13,9 +13,11 @@
 //!   chase when it witnesses existential quantifiers.
 //! * [`Schema`] / [`RelationSchema`] — named relations with typed columns.
 //! * [`Tuple`] and [`Fact`] — rows, and rows tagged with their relation.
-//! * [`Instance`] — a deduplicated, insertion-ordered set of facts with
-//!   per-column secondary indexes, plus the null-substitution operation the
-//!   egd chase relies on.
+//! * [`Instance`] — a deduplicated, insertion-ordered set of facts. Each
+//!   relation has one index kind, a hash of some columns → the slots of
+//!   the rows holding them: one per column, one over all columns for
+//!   membership, and the composite join keys the chase registers. Plus
+//!   the null-substitution operation the egd chase relies on.
 //!
 //! The design goals, in order: deterministic iteration (tests and the greedy
 //! ded chase must be reproducible), cheap cloning of values (`Arc<str>`

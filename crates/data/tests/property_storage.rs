@@ -2,6 +2,7 @@
 //! random composite keys, every indexed access path (`scan`, `scan_each`,
 //! `any_match`, `estimate`) must agree with the naive linear scan — and
 //! keep agreeing after surgical null substitution rewrites rows in place.
+//! Membership (`contains`, and `insert`'s dedup) is checked the same way.
 
 use proptest::prelude::*;
 
@@ -80,6 +81,21 @@ fn assert_paths_agree(rel: &Relation, pattern: &[Option<Value>]) {
     assert_eq!(first.as_ref(), expect.first().copied());
 }
 
+/// `contains` agrees with the linear reference on every live tuple and on
+/// every probe, and re-inserting a live tuple is reported as a duplicate.
+fn assert_membership(inst: &mut Instance, probes: &[Tuple]) {
+    let rel = inst.relation("R").expect("R exists");
+    let live: Vec<Tuple> = rel.iter().cloned().collect();
+    for t in live.iter().chain(probes) {
+        let expect = rel.iter().any(|u| u == t);
+        assert_eq!(rel.contains(t), expect, "contains diverges on {t}");
+    }
+    for t in &live {
+        assert!(matches!(inst.add("R", t.values().to_vec()), Ok(false)));
+    }
+    assert_eq!(inst.relation("R").unwrap().len(), live.len());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -134,6 +150,68 @@ proptest! {
             }
             // The live count is consistent with the iterator.
             assert_eq!(rel.iter().count(), rel.len());
+        }
+    }
+
+    /// Hashed membership stays exact through substitution rounds: tuples
+    /// rewritten away (their old slots now stale bucket entries) and
+    /// random probes are absent, live tuples present. The last round
+    /// grounds every null, lifting at least 68 rows: enough junk to force
+    /// compaction. Arity 1, where the membership key is the column key,
+    /// runs beside arity 3.
+    #[test]
+    fn hashed_membership_matches_linear_reference(
+        rest in prop::collection::vec(prop::collection::vec(0usize..9, 3..=3), 80..160),
+        probes in prop::collection::vec(prop::collection::vec(0usize..9, 3..=3), 1..24),
+        subst in prop::collection::vec(prop::collection::vec(0usize..200, 2..=2), 1..12),
+    ) {
+        for arity in [1, 3] {
+            let mut inst = Instance::new();
+            // Column 0 holds a distinct null per row; a few null-free rows
+            // ride along.
+            for (i, sels) in rest.iter().enumerate() {
+                let mut row = vec![Value::null(100 + i as u64)];
+                row.extend(sels[1..arity].iter().map(|&s| val(s)));
+                inst.add("R", row).unwrap();
+                if i < 8 {
+                    inst.add("R", sels[..arity].iter().map(|&s| val(s)).collect())
+                        .unwrap();
+                }
+            }
+            let probes: Vec<Tuple> = probes
+                .iter()
+                .map(|sels| Tuple::new(sels[..arity].iter().map(|&s| val(s)).collect()))
+                .collect();
+            assert_membership(&mut inst, &probes);
+            // Partial rounds: a label goes to a constant or a fresh null.
+            for pair in subst.chunks(3) {
+                let before: Vec<Tuple> = inst.relation("R").unwrap().iter().cloned().collect();
+                let map: FxHashMap<NullId, Value> = pair
+                    .iter()
+                    .map(|p| {
+                        let target = if p[1] % 2 == 0 {
+                            val(p[1] % 6)
+                        } else {
+                            Value::null(1000 + p[1] as u64)
+                        };
+                        (NullId(100 + p[0] as u64), target)
+                    })
+                    .collect();
+                inst.substitute_nulls_batch(&map);
+                assert_membership(&mut inst, &[probes.clone(), before].concat());
+            }
+            // The grounding round.
+            let before: Vec<Tuple> = inst.relation("R").unwrap().iter().cloned().collect();
+            let map: FxHashMap<NullId, Value> = before
+                .iter()
+                .flat_map(Tuple::nulls)
+                .map(|n| (n, Value::int(0)))
+                .collect();
+            inst.substitute_nulls_batch(&map);
+            let rel = inst.relation("R").unwrap();
+            assert_eq!(rel.frontier() as usize, rel.len(), "compaction left tombstones");
+            assert!(rel.iter().all(|t| !t.has_nulls()));
+            assert_membership(&mut inst, &[probes.clone(), before].concat());
         }
     }
 }

@@ -12,8 +12,8 @@
 //! negations run as soon as their variables are bound (cheap filters first);
 //! among positive atoms the evaluator picks the one with the smallest
 //! index-based cardinality estimate under the current bindings
-//! ([`grom_data::Relation::estimate`]) and probes it through the instance's
-//! per-column indexes.
+//! ([`grom_data::Relation::estimate`]) and probes it through the smallest
+//! bucket of the relation's keys its bound positions cover.
 //!
 //! Every entry point resolves the body's predicates to [`DbRel`] tokens
 //! **once** ([`Db::resolve`]) and streams tuples through
